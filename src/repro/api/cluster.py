@@ -28,7 +28,7 @@ from repro.net.fabric import Fabric, make_fabric
 from repro.net.remoteop import RemoteOp
 from repro.net.transport import Transport
 from repro.obs import NULL_OBS, Observability
-from repro.sim.kernel import Simulator, make_simulator
+from repro.sim.kernel import Simulator
 from repro.sim.process import SimDriver, Task
 from repro.sim.rng import RngStreams
 from repro.sim.trace import NULL_TRACE, TraceRecorder
@@ -104,7 +104,7 @@ class Cluster:
         if config.nodes < 1:
             raise ValueError("cluster needs at least one node")
         self.config = config
-        self.sim: Simulator = make_simulator(config.kernel)
+        self.sim = Simulator()
         self.trace = trace
         #: Observability bundle (repro.obs): an explicit instance wins,
         #: else ``config.obs`` decides between a live one and NULL_OBS
@@ -117,8 +117,12 @@ class Cluster:
         else:
             self.obs = Observability() if config.obs else NULL_OBS
         clock = self.sim.clock()
-        trace.bind_clock(clock)
-        if self.obs:  # never rebind the shared NULL_OBS
+        # Never bind the shared NULL_TRACE/NULL_OBS: a module-level
+        # singleton holding this clock would keep the whole finished
+        # cluster (reply caches, page buffers) alive until the next one.
+        if trace is not NULL_TRACE:
+            trace.bind_clock(clock)
+        if self.obs:
             self.obs.bind_clock(clock)
         self.rngs = RngStreams(config.seed)
         self.driver = SimDriver(self.sim)

@@ -40,11 +40,13 @@ class ConfigError(ValueError):
     """A structured configuration error.
 
     Raised when a config field names something the system does not
-    provide (e.g. an unknown network backend).  Carries the offending
-    ``field`` and ``value``, the ``known`` legal values, and — when one
-    of them is close enough to be a likely typo — an exact-name
-    ``suggestion``, so drivers can render a precise message and tests
-    can assert on structure instead of prose.
+    provide (e.g. an unknown network backend), or sets a knob the
+    selected backend ignores.  Carries the offending ``field`` and
+    ``value``, the ``known`` legal values (or the fields that backend
+    does read), and — when one of them is close enough to be a likely
+    typo — an exact-name ``suggestion``, so drivers can render a precise
+    message and tests can assert on structure instead of prose.
+    ``message`` replaces the default "unknown ..." prose.
     """
 
     def __init__(
@@ -53,6 +55,7 @@ class ConfigError(ValueError):
         value: object,
         known: tuple[str, ...],
         suggestion: str | None = None,
+        message: str | None = None,
     ) -> None:
         self.field = field_name
         self.value = value
@@ -60,7 +63,8 @@ class ConfigError(ValueError):
         self.suggestion = suggestion
         hint = f"; did you mean {suggestion!r}?" if suggestion else ""
         super().__init__(
-            f"unknown {field_name} {value!r} (known: {', '.join(known)}){hint}"
+            message
+            or f"unknown {field_name} {value!r} (known: {', '.join(known)}){hint}"
         )
 
 #: One microsecond of simulated time, in simulation ticks (nanoseconds).
@@ -114,6 +118,8 @@ class RingConfig:
     delivery_latency: int = 50 * MICROSECOND
     #: Probability that a frame is lost in transit (exercises the
     #: retransmission protocol; 0.0 for deterministic experiments).
+    #: Read only by the ring backend; setting it on ``"switched"`` is a
+    #: ConfigError.
     loss_rate: float = 0.0
 
 
@@ -161,7 +167,8 @@ class FabricConfig:
     #: Fan-out of the multicast tree used for broadcast/multicast.
     multicast_fanout: int = 4
     #: Probability that a frame is lost at the final receiver (drawn per
-    #: target, matching the ring's per-receiver loss model).
+    #: target, matching the ring's per-receiver loss model).  Read only
+    #: by the switched backend; setting it on ``"ring"`` is a ConfigError.
     loss_rate: float = 0.0
 
 
@@ -361,14 +368,6 @@ class ClusterConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     svm: SvmConfig = field(default_factory=SvmConfig)
     sched: SchedConfig = field(default_factory=SchedConfig)
-    #: Event-kernel backend: ``"calendar"`` (calendar/bucket timer queue,
-    #: O(1) amortised) or ``"heap"`` (the legacy single binary heap).
-    #: ``None`` defers to the ``REPRO_KERNEL`` environment variable and
-    #: then to ``"calendar"`` — an explicit value here beats the
-    #: environment, so a config can pin a kernel regardless of how CI
-    #: runs it.  Both kernels are bit-for-bit schedule-identical; the
-    #: choice is purely a wall-clock/regression-triage knob.
-    kernel: str | None = None
     #: Per-message transport software overhead at each endpoint (user-mode
     #: protocol processing; dominates small-message cost, per [28]).
     transport_cpu: int = 500 * MICROSECOND

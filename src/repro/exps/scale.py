@@ -53,7 +53,7 @@ from repro.exps.presets import SCALE_NODE_COUNTS, scale_fig4, scale_fig5
 from repro.metrics.speedup import RunResult
 
 __all__ = [
-    "scale_jobs", "run_scale", "run_dispatch", "run_timeline", "check_scale", "main",
+    "scale_jobs", "run_scale", "run_timeline", "check_scale", "main",
 ]
 
 BACKENDS = ("ring", "switched")
@@ -127,65 +127,6 @@ def run_scale(
             "count x fabric backend"
         ),
         "runs": runs,
-    }
-
-
-def run_dispatch(
-    nodes_list: Sequence[int] = SCALE_NODE_COUNTS, repeats: int = 3
-) -> dict[str, Any]:
-    """Kernel-dispatch flatness: wall-clock events/s per node count.
-
-    The question the calendar queue exists to answer: does the cost of
-    dispatching one event stay flat as the pending-timer population grows
-    with the cluster (every in-flight request parks a 500 ms retransmit
-    timer in the queue)?  One fig5-class switched run per (node count,
-    kernel), interleaved heap/calendar within each repeat, best-of-N.
-    Wall numbers are hardware-bound — this section is a trajectory
-    record like ``BENCH_perf.json``, *not* part of ``--check``'s exact
-    comparison (which only walks ``runs``).
-    """
-    import time
-
-    from repro.exps.parallel import APP_REGISTRY
-    from repro.metrics.speedup import run_app
-
-    points: dict[str, Any] = {}
-    for nodes in nodes_list:
-        app, app_args, config = scale_fig5(nodes, "switched")
-        ctor = APP_REGISTRY[app]
-        best = {"heap": float("inf"), "calendar": float("inf")}
-        events = {"heap": 0, "calendar": 0}
-        for _ in range(repeats):
-            for kernel in ("heap", "calendar"):
-                cfg = config.replace(kernel=kernel)
-                started = time.perf_counter()
-                result = run_app(
-                    lambda p: ctor(p, **app_args), nodes, config=cfg, check=True
-                )
-                best[kernel] = min(best[kernel], time.perf_counter() - started)
-                events[kernel] = result.events_executed
-        if events["heap"] != events["calendar"]:
-            raise AssertionError(
-                f"n{nodes}: kernels disagree on event count "
-                f"(heap {events['heap']} != calendar {events['calendar']})"
-            )
-        points[f"n{nodes}"] = {
-            "nodes": nodes,
-            "events": events["calendar"],
-            "heap_events_per_wall_sec": round(events["heap"] / best["heap"]),
-            "calendar_events_per_wall_sec": round(
-                events["calendar"] / best["calendar"]
-            ),
-            "speedup": round(best["heap"] / best["calendar"], 4),
-        }
-    return {
-        "measurement": (
-            "fig5-class switched run per node count, interleaved "
-            "heap/calendar best-of-N wall clock; 'events' is exact, "
-            "'*_events_per_wall_sec' is hardware-bound (trajectory record)"
-        ),
-        "repeats": repeats,
-        "points": points,
     }
 
 
@@ -324,16 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         help="restrict to these fabric backends (default: all)",
     )
     parser.add_argument(
-        "--dispatch", action="store_true",
-        help="also measure the kernel-dispatch flatness curve (wall-clock "
-        "events/s per node count, heap vs calendar kernel) and write it "
-        "as the 'dispatch' section of --out",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="wall-clock repeats per --dispatch point (default 3)",
-    )
-    parser.add_argument(
         "--timeline", metavar="DIR",
         help="windowed-telemetry mode: run the selected points serially "
         "with a timeline, write JSONL + OpenMetrics exports into DIR, "
@@ -383,25 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         if problems:
             return 1
         print(f"scale check passed against {args.check}")
-    if args.dispatch:
-        dispatch = run_dispatch(args.nodes, repeats=args.repeats)
-        doc["dispatch"] = dispatch
-        for name, point in dispatch["points"].items():
-            print(
-                f"dispatch {name}: heap {point['heap_events_per_wall_sec']} ev/s, "
-                f"calendar {point['calendar_events_per_wall_sec']} ev/s "
-                f"= {point['speedup']:.3f}x"
-            )
-    elif args.out:
-        # Keep a previously measured dispatch section when rewriting the
-        # exact part of the artifact without --dispatch.
-        try:
-            with open(args.out, encoding="utf-8") as fh:
-                prior = json.load(fh).get("dispatch")
-            if prior is not None:
-                doc["dispatch"] = prior
-        except (OSError, ValueError):
-            pass
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

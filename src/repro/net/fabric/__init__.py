@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.net.packet import Message, delivery_label
-from repro.net.pool import MessagePool, PagePool
+from repro.net.pool import PagePool
 from repro.obs import NULL_OBS, Observability
 from repro.sim.kernel import Simulator
 from repro.sim.trace import NULL_TRACE, TraceRecorder
@@ -144,13 +144,9 @@ class Fabric:
         #: identically, whether or not anyone records them.
         self._timeline = obs.timeline if self._obs_on else None
         self.stats: FabricStats
-        #: Free-list pools for the zero-allocation message path, shared
-        #: by every transport endpoint on this fabric: envelopes are
-        #: acquired by the transport, retained per scheduled delivery in
-        #: :meth:`_schedule_delivery`, and released in :meth:`_deliver`
-        #: once the receiver callback returns.  ``pages`` recycles the
-        #: page-sized snapshot buffers the coherence servers ship.
-        self.pool = MessagePool()
+        #: Page-snapshot buffers shared by every coherence server on this
+        #: fabric; bounds the memory the transports' reply caches pin
+        #: (see repro.net.pool).
         self.pages = PagePool()
         self._receivers: dict[int, Callable[[Message], None]] = {}
         #: Deterministic drop hook for the schedule explorer's delay-
@@ -187,9 +183,6 @@ class Fabric:
     def _schedule_delivery(self, arrival: int, target: int, msg: Message) -> None:
         """Schedule ``msg``'s delivery at ``target`` for absolute time
         ``arrival``, labelled for the explorer when one is installed."""
-        # In-flight reference, dropped by _deliver: the creator may
-        # complete (and release) the envelope while copies are en route.
-        msg.refs += 1
         sim = self.sim
         if sim.scheduler is not None:
             # Labels matter only to an installed Scheduler; building one
@@ -207,9 +200,6 @@ class Fabric:
         if receiver is None:
             raise RuntimeError(f"no receiver attached at station {target}")
         receiver(msg)
-        # A server that keeps handling past this point took its own
-        # reference in RemoteOp._dispatch; the in-flight one ends here.
-        self.pool.release(msg)
 
 
 #: Known backend names -> human summary (the registry ``make_fabric``
@@ -231,9 +221,23 @@ def make_fabric(
 
     An unknown ``config.fabric.backend`` raises a structured
     :class:`repro.config.ConfigError` carrying the known names and, for
-    near-misses, the exact name the caller probably meant.
+    near-misses, the exact name the caller probably meant.  So does a
+    loss rate set on the medium the backend does not read: each backend
+    has exactly one loss knob (``ring.loss_rate`` on the ring,
+    ``fabric.loss_rate`` on the switched fabric).
     """
+    from repro.config import ConfigError
+
     backend = config.fabric.backend
+    ignored, read = ("fabric", "ring") if backend == "ring" else ("ring", "fabric")
+    loss = getattr(config, ignored).loss_rate
+    if loss and backend in FABRIC_BACKENDS:
+        raise ConfigError(
+            f"{ignored}.loss_rate", loss, (f"{read}.loss_rate",),
+            suggestion=f"{read}.loss_rate",
+            message=f"{ignored}.loss_rate={loss!r} is ignored by the {backend!r} "
+            f"backend, whose loss knob is {read}.loss_rate",
+        )
     if backend == "ring":
         from repro.net.ring import TokenRing
 
@@ -253,8 +257,6 @@ def make_fabric(
         )
 
     import difflib
-
-    from repro.config import ConfigError
 
     known = tuple(sorted(FABRIC_BACKENDS))
     close = difflib.get_close_matches(str(backend), known, n=1, cutoff=0.6)

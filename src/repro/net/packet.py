@@ -21,7 +21,6 @@ __all__ = [
     "annotate_op",
     "delivery_label",
     "extractor_errors",
-    "next_serial",
     "op_page",
     "parse_delivery_label",
     "request_size",
@@ -36,16 +35,6 @@ BROADCAST = -1
 HEADER_BYTES = 32
 
 _serial = itertools.count(1)
-
-
-def next_serial() -> int:
-    """Allocate the next global message construction serial.
-
-    Exposed for :mod:`repro.net.pool`: a recycled :class:`Message` gets
-    a *fresh* serial on reuse, so serials stay unique per logical
-    message even though the carrying object is reused.
-    """
-    return next(_serial)
 
 
 class Message:
@@ -72,7 +61,6 @@ class Message:
     __slots__ = (
         "src", "dst", "kind", "op", "origin", "msg_id", "payload",
         "nbytes", "load_hint", "reply_scheme", "targets", "span", "serial",
-        "refs",
     )
 
     def __init__(
@@ -103,12 +91,6 @@ class Message:
         self.targets = targets
         self.span = span
         self.serial = next(_serial)
-        #: Reference count for free-list pooling (repro.net.pool): the
-        #: creator holds one reference; each scheduled delivery holds one
-        #: for its in-flight window; a server holds one while handling.
-        #: Messages built directly (tests, ad-hoc frames) simply carry
-        #: refs=1 and join a pool's free list on their first release.
-        self.refs = 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Message {self.describe()}>"

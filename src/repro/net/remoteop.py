@@ -82,10 +82,6 @@ class RemoteOp:
         self.trace = trace
         self.obs = obs
         self.node_id = transport.node_id
-        #: Envelope pool (shared fabric-wide); _serve holds a reference
-        #: per running handler, because handling spans simulated time
-        #: while the delivery event that carried the envelope completes.
-        self.pool = transport.pool
         self._handlers: dict[str, Callable[[int, Any], Generator[Effect, Any, Any]]] = {}
         self._local_probes: dict[str, Callable[[Any], bool]] = {}
         transport.set_request_handler(self._dispatch)
@@ -203,7 +199,6 @@ class RemoteOp:
             name = f"serve-{self.node_id}-{msg.op}-{msg.origin}.{msg.msg_id}"
         else:
             name = msg.op
-        msg.refs += 1  # held for the duration of _serve (released there)
         self.driver.spawn(self._serve(msg), name)
 
     def _serve(self, msg: Message) -> Generator[Effect, Any, None]:
@@ -254,4 +249,3 @@ class RemoteOp:
                 # service time must still reach the profiler's network
                 # attribution and the timeline's per-window series.
                 obs.span_account(span)
-            self.pool.release(msg)

@@ -126,12 +126,6 @@ class Transport:
         self.node_id = node_id
         self.config = config
         self.trace = trace
-        #: Envelope free-list, shared fabric-wide (see repro.net.pool).
-        #: Lifetime protocol: the _Pending record (or the reply cache,
-        #: for forwards) holds the creator reference; the fabric holds
-        #: one per in-flight delivery; RemoteOp holds one per running
-        #: handler.  Release sites below mirror exactly those holders.
-        self.pool = ring.pool
         self.stats = TransportStats()
         self._next_id = 0
         self._pending: dict[int, _Pending] = {}
@@ -174,7 +168,7 @@ class Transport:
         software send cost, then released until the reply arrives.
         """
         self._next_id += 1
-        msg = self.pool.acquire(
+        msg = Message(
             self.node_id, dst, "req", op, self.node_id, self._next_id,
             payload, nbytes, span=span_id,
         )
@@ -208,22 +202,18 @@ class Transport:
         if scheme not in ("any", "all", "none"):
             raise ValueError(f"unknown reply scheme {scheme!r}")
         self._next_id += 1
-        msg = self.pool.acquire(
+        msg = Message(
             self.node_id, BROADCAST, "bcast", op, self.node_id, self._next_id,
             payload, nbytes, reply_scheme=scheme, span=span_id,
         )
         self.stats.broadcasts_sent += 1
         yield Compute(self.config.transport_cpu)
         if others == 0:
-            self.pool.release(msg)
             if scheme == "any":
                 raise TransportError("broadcast 'any' with no other stations")
             return {} if scheme == "all" else None
         self._transmit(msg)
         if scheme == "none":
-            # Fire and forget: no _Pending record, so the creator
-            # reference ends here (in-flight deliveries hold their own).
-            self.pool.release(msg)
             return None
         pending = _Pending(msg, want=1 if scheme == "any" else others)
         self._pending[msg.msg_id] = pending
@@ -252,7 +242,7 @@ class Transport:
         if not targets:
             return {}
         self._next_id += 1
-        msg = self.pool.acquire(
+        msg = Message(
             self.node_id, BROADCAST, "bcast", op, self.node_id, self._next_id,
             payload, nbytes, reply_scheme="all", targets=targets, span=span_id,
         )
@@ -277,15 +267,10 @@ class Transport:
         self._reply_cache[(msg.origin, msg.msg_id)] = ("done", value, nbytes)
         self.stats.replies_sent += 1
         yield Compute(self.config.transport_cpu)
-        rep = self.pool.acquire(
+        self._transmit(Message(
             self.node_id, msg.origin, "rep", msg.op, msg.origin,
             msg.msg_id, value, nbytes, span=msg.span,
-        )
-        self._transmit(rep)
-        # Replies are single-delivery transients: the cache keeps the
-        # *value*, never the envelope, so the creator reference ends at
-        # hand-off (lost replies are recovered by request retransmission).
-        self.pool.release(rep)
+        ))
 
     def forward(
         self,
@@ -306,15 +291,14 @@ class Transport:
         hop provably leads to the executor whose reply cache can answer.
         """
         self.stats.forwards_sent += 1
-        forwarded = self.pool.acquire(
+        forwarded = Message(
             self.node_id, dst, "req", msg.op, msg.origin, msg.msg_id,
             msg.payload if payload is None else payload,
             msg.nbytes if nbytes is None else nbytes,
             span=msg.span if span_id is None else span_id,
         )
-        # The sticky-route cache entry holds the creator reference (it
-        # retransmits this envelope on duplicates); released when the
-        # route is discarded (cycle/probe breakout, clear_request).
+        # The sticky-route cache entry keeps the envelope: duplicates are
+        # re-sent along it until the route is discarded.
         self._reply_cache[(msg.origin, msg.msg_id)] = ("forwarded", forwarded)
         yield Compute(self.config.transport_cpu)
         self._transmit(forwarded)
@@ -334,9 +318,7 @@ class Transport:
         window between an old owner relinquishing a page and the new
         owner installing it gets no reply from *anyone*, and only the
         retransmission finding the settled owner recovers."""
-        cached = self._reply_cache.pop((msg.origin, msg.msg_id), None)
-        if cached is not None and cached[0] == "forwarded":
-            self.pool.release(cached[1])
+        self._reply_cache.pop((msg.origin, msg.msg_id), None)
 
     # ------------------------------------------------------------------
     # internals
@@ -344,55 +326,50 @@ class Transport:
     def _transmit(self, msg: Message) -> None:
         msg.load_hint = self.load_provider()
         if msg.dst == self.node_id:
-            # Local deliveries bypass the fabric, so the in-flight
-            # reference (fabric._schedule_delivery's job) is taken here
-            # and dropped by _deliver_local after the callback returns.
-            msg.refs += 1
+            # Local deliveries bypass the fabric.
             if self.sim.scheduler is not None:
                 self.sim.schedule_nocancel(
-                    LOCAL_DELIVERY_NS, self._deliver_local, msg,
+                    LOCAL_DELIVERY_NS, self._on_message, msg,
                     label=delivery_label(self.node_id, msg),
                 )
             else:
-                self.sim.schedule_nocancel(LOCAL_DELIVERY_NS, self._deliver_local, msg)
+                self.sim.schedule_nocancel(LOCAL_DELIVERY_NS, self._on_message, msg)
         else:
             self.ring.send(msg)
-
-    def _deliver_local(self, msg: Message) -> None:
-        self._on_message(msg)
-        self.pool.release(msg)
 
     def _arm_timer(self, pending: _Pending) -> None:
         # The timer event is labelled so the schedule explorer can order a
         # retransmission against same-tick deliveries: a retransmitted
         # request racing its own original (or a stale reply) is exactly
         # the reordering the delay-injection strategy exists to exercise.
+        # The event carries only the msg_id: a cancelled timer stays
+        # queued until its deadline and must not pin the request.
         if self.sim.scheduler is None:
             # The label is never read without a scheduler installed;
             # op_page + the f-string are pure overhead per request.
             pending.timer = self.sim.schedule(
-                self.config.retransmit_timeout, self._retransmit, pending
+                self.config.retransmit_timeout, self._retransmit, pending.msg.msg_id
             )
             return
         msg = pending.msg
         page = op_page(msg.op, msg.payload)
         ptag = "p?" if page is None else f"p{page}"
         pending.timer = self.sim.schedule(
-            self.config.retransmit_timeout, self._retransmit, pending,
+            self.config.retransmit_timeout, self._retransmit, msg.msg_id,
             label=f"retransmit:n{self.node_id}:{ptag}:{msg.op}:o{msg.origin}.{msg.msg_id}",
         )
 
-    def _retransmit(self, pending: _Pending) -> None:
-        if pending.gate.posted or pending.msg.msg_id not in self._pending:
-            return
+    def _retransmit(self, msg_id: int) -> None:
+        pending = self._pending.get(msg_id)
+        if pending is None:
+            return  # completed (replies and give-ups leave _pending)
         pending.retries += 1
         if pending.retries > self.config.max_retransmits:
-            del self._pending[pending.msg.msg_id]
+            del self._pending[msg_id]
             error = TransportError(
                 f"request {pending.msg.op} from {self.node_id} to "
                 f"{pending.msg.dst} gave up after {pending.retries - 1} retransmits"
             )
-            self.pool.release(pending.msg)
             pending.gate.post(error)
             return
         self.stats.retransmits += 1
@@ -429,10 +406,6 @@ class Transport:
         del self._pending[msg.msg_id]
         if pending.timer is not None:
             pending.timer.cancel()
-        # Request complete: drop the creator reference.  Retransmitted
-        # copies still in flight hold their own references, so this is a
-        # decrement, not necessarily the recycle.
-        self.pool.release(pending.msg)
         pending.gate.post(result)
 
     def _on_request(self, msg: Message) -> None:
@@ -460,7 +433,6 @@ class Transport:
                 # Probe: this node can serve the request itself now (e.g. it
                 # has become the page's owner since it forwarded).
                 del self._reply_cache[key]
-                self.pool.release(cached[1])
                 self._on_request(msg)
                 return
             # Sticky re-forward along the recorded hop (see `forward`):
@@ -475,18 +447,7 @@ class Transport:
             return
         _tag, value, nbytes = cached
         self.stats.replies_resent += 1
-        # The resend task reads the request envelope long after this
-        # delivery callback returned; hold it until the task finishes.
-        self.pool.retain(msg)
         self.driver.spawn(
-            self._resend_reply(msg, value, nbytes),
+            self.send_reply(msg, value, nbytes),
             f"resend-reply-{self.node_id}-{msg.msg_id}",
         )
-
-    def _resend_reply(
-        self, msg: Message, value: Any, nbytes: int
-    ) -> Generator[Effect, Any, None]:
-        try:
-            yield from self.send_reply(msg, value, nbytes)
-        finally:
-            self.pool.release(msg)

@@ -1,9 +1,12 @@
-"""Event queue and simulated clock.
+"""Event queue and simulated clock: the simulator's one event kernel.
 
-The simulator is a classic calendar loop: a binary heap of
+The simulator is a classic discrete-event loop over a binary heap of
 ``(time, seq, callback, args)`` entries.  ``seq`` is a global monotonic
 counter so that events scheduled at the same tick fire in scheduling
-order — this is what makes every run bit-for-bit reproducible.
+order — this is what makes every run bit-for-bit reproducible.  (A
+calendar-queue timer lane was tried as an alternative kernel; on the
+paper workloads of ``perfbench/`` it was within noise of this heap, so
+it was removed.)
 
 Two wall-clock fast paths ride on that invariant without changing it:
 
@@ -39,21 +42,16 @@ shrinkable failures instead of hangs.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Iterable, Sequence
-
-from repro.sim.calqueue import CalendarQueue
 
 __all__ = [
     "Simulator",
     "CalendarSimulator",
     "DeadlockError",
     "CancelHandle",
-    "KERNEL_BACKENDS",
     "PendingEvent",
     "Scheduler",
-    "make_simulator",
 ]
 
 
@@ -366,169 +364,11 @@ class Simulator:
 
 
 class CalendarSimulator(Simulator):
-    """:class:`Simulator` with the heap timer lane replaced by a
-    :class:`~repro.sim.calqueue.CalendarQueue`.
+    """Former name of the calendar-queue kernel, now plain :class:`Simulator`.
 
-    Bit-for-bit schedule-compatible with the heap kernel: entries are
-    the same 6-tuples, ``seq`` allocation is identical, the delay-0 FIFO
-    lane and its ``(when, seq)`` merge are unchanged, and the controlled
-    (explorer) path folds the calendar back into ``self._heap`` and runs
-    the *parent's* loop verbatim — so a :class:`Scheduler` sees exactly
-    the one uniform queue it has always seen.  Only the container for
-    delay>0 timers changes; every committed golden fixture pins this.
+    The calendar kernel did not beat the heap on any paper workload and
+    was removed; the name survives for external code that imports it.
+    It stays a distinct (memberless) subclass rather than an alias so
+    that code patching ``Simulator`` and ``CalendarSimulator`` methods
+    side by side never patches the same function twice.
     """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cal = CalendarQueue()
-
-    def schedule(
-        self, delay: int, fn: Callable[..., None], *args: Any, label: str | None = None
-    ) -> CancelHandle:
-        handle = CancelHandle()
-        self._seq += 1
-        if delay == 0 and self.scheduler is None:
-            self._fifo.append((self.now, self._seq, handle, fn, args, label))
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        elif self.scheduler is None:
-            self._cal.push((self.now + delay, self._seq, handle, fn, args, label))
-        else:
-            # Controlled mode: keep the uniform heap the explorer expects.
-            heapq.heappush(self._heap, (self.now + delay, self._seq, handle, fn, args, label))
-        return handle
-
-    def schedule_nocancel(
-        self, delay: int, fn: Callable[..., None], *args: Any, label: str | None = None
-    ) -> None:
-        self._seq += 1
-        if delay == 0 and self.scheduler is None:
-            self._fifo.append((self.now, self._seq, _NEVER_CANCELLED, fn, args, label))
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        elif self.scheduler is None:
-            self._cal.push((self.now + delay, self._seq, _NEVER_CANCELLED, fn, args, label))
-        else:
-            heapq.heappush(
-                self._heap, (self.now + delay, self._seq, _NEVER_CANCELLED, fn, args, label)
-            )
-
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        if self.scheduler is not None:
-            return self._run_controlled(self.scheduler, until, max_events)
-        if self._heap:
-            # Timers parked in the heap by a controlled phase (a scheduler
-            # was installed, ran, and was removed): fold them back into
-            # the calendar.  Heap entries are never in the past, so the
-            # calendar's day invariant holds.
-            cal_push = self._cal.push
-            heap = self._heap
-            while heap:
-                cal_push(heapq.heappop(heap))
-        cal = self._cal
-        fifo = self._fifo
-        budget = max_events if max_events is not None else -1
-        while True:
-            if self._failure is not None:
-                exc, self._failure = self._failure, None
-                raise exc
-            # The calendar purges cancelled tombstones at its front in
-            # peek(); only the FIFO lane needs the explicit skip.
-            while fifo and fifo[0][2].cancelled:
-                fifo.popleft()
-            head = cal.peek()
-            # Pick the next live event by (time, seq) across both lanes —
-            # the same merge as the heap loop.
-            if fifo:
-                if head is not None and head[0] == self.now and head[1] < fifo[0][1]:
-                    use_fifo = False
-                    when = head[0]
-                else:
-                    use_fifo = True
-                    when = self.now
-            elif head is not None:
-                use_fifo = False
-                when = head[0]
-            else:
-                break
-            if until is not None and when > until:
-                # Stop the clock at `until`; pending events stay queued.
-                # FIFO entries carry their true (time, seq), so folding
-                # them into the calendar preserves order.
-                cal_push = cal.push
-                while fifo:
-                    cal_push(fifo.popleft())
-                self.now = until
-                return until
-            if use_fifo:
-                _when, _seq, _handle, fn, args, _label = fifo.popleft()
-                self.now = when
-            else:
-                # pop_front: `head` came from peek() this iteration and
-                # nothing touched the calendar since — no rescan.
-                _when, _seq, _handle, fn, args, _label = cal.pop_front()
-                self.now = when
-            self.events_executed += 1
-            fn(*args)
-            if budget > 0:
-                budget -= 1
-                if budget == 0:
-                    return self.now
-        if self._failure is not None:
-            exc, self._failure = self._failure, None
-            raise exc
-        blocked = [t for t in self._watched if getattr(t, "is_blocked", False)]
-        if blocked and until is None:
-            raise DeadlockError(blocked)
-        return self.now
-
-    def _run_controlled(
-        self, scheduler: Scheduler, until: int | None, max_events: int | None
-    ) -> int:
-        # Fold the calendar into the heap and run the parent loop: the
-        # explorer's semantics (batching, choose(), re-queueing) must be
-        # byte-identical under both kernels, so there is exactly one
-        # implementation of them.
-        if self._cal:
-            self._heap.extend(self._cal.drain())
-            heapq.heapify(self._heap)
-        return super()._run_controlled(scheduler, until, max_events)
-
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled tombstones)."""
-        return len(self._heap) + len(self._fifo) + len(self._cal)
-
-
-#: Known kernel backends -> human summary (``make_simulator`` dispatches
-#: on the name; the summaries feed error messages and docs).
-KERNEL_BACKENDS: dict[str, str] = {
-    "calendar": "calendar/bucket-queue timer lane, O(1) amortised (default)",
-    "heap": "legacy single binary-heap timer lane",
-}
-
-
-def make_simulator(kernel: str | None = None) -> Simulator:
-    """Instantiate the configured event-kernel backend.
-
-    ``kernel=None`` (the :class:`~repro.config.ClusterConfig` default)
-    defers to the ``REPRO_KERNEL`` environment variable, falling back to
-    ``"calendar"`` — so CI can pin a whole test run to the legacy heap
-    kernel without touching any config.  An explicit config value beats
-    the environment.  Unknown names raise a structured
-    :class:`repro.config.ConfigError` with the known backends and, for
-    near-misses, the name the caller probably meant.
-    """
-    if kernel is None:
-        kernel = os.environ.get("REPRO_KERNEL", "calendar")
-    if kernel == "calendar":
-        return CalendarSimulator()
-    if kernel == "heap":
-        return Simulator()
-
-    import difflib
-
-    from repro.config import ConfigError
-
-    known = tuple(sorted(KERNEL_BACKENDS))
-    close = difflib.get_close_matches(str(kernel), known, n=1, cutoff=0.6)
-    raise ConfigError("kernel", kernel, known, suggestion=close[0] if close else None)

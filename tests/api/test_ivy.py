@@ -1,6 +1,9 @@
 """Integration tests for the IVY client interface: programs composed of
 lightweight processes, shared memory, allocation and synchronisation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,23 @@ def test_malloc_write_read_roundtrip():
     out = ivy.run(main)
     assert np.array_equal(out, np.arange(100))
     assert ivy.time_ns > 0
+
+
+def test_a_finished_cluster_is_not_kept_alive_by_the_shared_null_recorders():
+    """NULL_TRACE and NULL_OBS are module-level singletons; if they held a
+    finished run's clock, its whole cluster (reply caches, page buffers)
+    would stay alive until the next run, inflating back-to-back sweeps."""
+    ivy = make_ivy(nodes=2)
+
+    def main(ctx):
+        addr = yield from ctx.malloc(8)
+        yield from ctx.write_array(addr, np.ones(1))
+
+    ivy.run(main)
+    sim = weakref.ref(ivy.cluster.sim)
+    del ivy
+    gc.collect()
+    assert sim() is None
 
 
 def test_allocations_are_page_aligned_and_disjoint():

@@ -83,6 +83,32 @@ def test_cluster_raises_config_error_for_unknown_backend():
         Cluster(ClusterConfig(nodes=2).with_fabric(backend="rnig"))
 
 
+@pytest.mark.parametrize(
+    "backend, ignored, read",
+    [("ring", "fabric.loss_rate", "ring.loss_rate"),
+     ("switched", "ring.loss_rate", "fabric.loss_rate")],
+)
+def test_loss_knob_the_backend_ignores_is_a_config_error(backend, ignored, read):
+    from repro.api.cluster import Cluster
+
+    config = ClusterConfig(nodes=4).with_fabric(backend=backend)
+    wrong = (
+        config.with_fabric(loss_rate=0.3) if ignored.startswith("fabric")
+        else config.with_ring(loss_rate=0.3)
+    )
+    with pytest.raises(ConfigError) as excinfo:
+        Cluster(wrong)
+    err = excinfo.value
+    assert (err.field, err.value, err.known) == (ignored, 0.3, (read,))
+    assert read in str(err)
+    # The knob the backend does read is accepted.
+    right = (
+        config.with_ring(loss_rate=0.3) if read.startswith("ring")
+        else config.with_fabric(loss_rate=0.3)
+    )
+    assert Cluster(right).fabric.name == backend
+
+
 # ----------------------------------------------------------------------
 # switched medium model: timing
 

@@ -1,84 +1,11 @@
-"""Unit tests for the message/page free-list pools (pure data structures)."""
+"""Unit tests for the page-snapshot pool, and the memory bound it buys."""
 
 import numpy as np
-import pytest
 
-from repro.net.packet import HEADER_BYTES, Message
-from repro.net.pool import MessagePool, PagePool
-
-
-def _acquire(pool, **kw):
-    defaults = dict(
-        src=1, dst=2, kind="req", op="svm.read", origin=1, msg_id=7,
-        payload=("p", 3), nbytes=1024,
-    )
-    defaults.update(kw)
-    return pool.acquire(**defaults)
-
-
-def test_acquire_matches_constructed_message_field_for_field():
-    pool = MessagePool()
-    msg = _acquire(pool)
-    ref = Message(1, 2, "req", "svm.read", 1, 7, ("p", 3), 1024)
-    for field in ("src", "dst", "kind", "op", "origin", "msg_id", "payload",
-                  "nbytes", "load_hint", "reply_scheme", "targets", "span"):
-        assert getattr(msg, field) == getattr(ref, field), field
-    assert msg.refs == 1
-    assert pool.allocated == 1 and pool.reused == 0
-
-
-def test_release_recycles_and_reuse_resets_every_field():
-    pool = MessagePool()
-    msg = _acquire(pool)
-    msg.load_hint = 9
-    first_serial = msg.serial
-    pool.release(msg)
-    again = _acquire(
-        pool, src=5, dst=6, kind="bcast", op="svm.locate", origin=5,
-        msg_id=11, payload=None, nbytes=64, reply_scheme="any",
-        targets=(1, 2), span=3,
-    )
-    assert again is msg  # recycled, not reallocated
-    assert pool.reused == 1
-    assert (again.src, again.dst, again.kind, again.op) == (5, 6, "bcast", "svm.locate")
-    assert (again.origin, again.msg_id, again.payload) == (5, 11, None)
-    assert again.reply_scheme == "any" and again.targets == (1, 2) and again.span == 3
-    assert again.load_hint == 0 and again.refs == 1
-    assert again.serial != first_serial  # identity keys must see a fresh message
-
-
-def test_release_clears_payload_so_recycled_envelopes_pin_nothing():
-    pool = MessagePool()
-    msg = _acquire(pool, payload=np.zeros(16, dtype=np.uint8), targets=(1,))
-    pool.release(msg)
-    assert msg.payload is None and msg.targets is None
-
-
-def test_retain_release_only_last_reference_recycles():
-    pool = MessagePool()
-    msg = _acquire(pool)
-    pool.retain(msg)  # in flight
-    pool.retain(msg)  # server
-    pool.release(msg)
-    pool.release(msg)
-    assert _acquire(pool) is not msg  # still held by the creator
-    pool.release(msg)
-    assert _acquire(pool) is msg
-
-
-def test_over_release_raises():
-    pool = MessagePool()
-    msg = _acquire(pool)
-    pool.release(msg)
-    with pytest.raises(RuntimeError, match="over-released"):
-        pool.release(msg)
-
-
-def test_nbytes_floored_at_header_size_on_reuse():
-    pool = MessagePool()
-    pool.release(_acquire(pool))
-    msg = _acquire(pool, nbytes=1)
-    assert msg.nbytes == HEADER_BYTES
+from repro.api.ivy import Ivy
+from repro.apps.jacobi import JacobiApp
+from repro.config import ClusterConfig
+from repro.net.pool import PagePool
 
 
 def test_page_pool_copies_and_reuses_by_size():
@@ -95,3 +22,32 @@ def test_page_pool_copies_and_reuses_by_size():
     assert bytes(again) == bytes(other)
     assert pool.copy_of(np.zeros(128, dtype=np.uint8)).nbytes == 128
     assert (pool.allocated, pool.reused) == (2, 1)
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_reply_caches_share_pooled_page_buffers():
+    """The reply cache keeps every served value for the whole run; the
+    pool is what stops each cached page reply pinning its own snapshot.
+    Without it the distinct buffers would number the cached page replies."""
+    app = JacobiApp(8, n=256, iters=12)
+    ivy = Ivy(ClusterConfig(nodes=8))
+    app.check(ivy.run(app.main))
+    buffers = {}
+    page_replies = 0
+    for node in ivy.cluster.nodes:
+        for cached in node.transport._reply_cache.values():
+            if cached[0] != "done":
+                continue
+            found = list(_arrays(cached[1]))
+            page_replies += bool(found)
+            buffers.update((id(buf), buf) for buf in found)
+    pages = ivy.cluster.fabric.pages
+    assert 0 < len(buffers) <= pages.allocated
+    assert page_replies >= 50 * pages.allocated

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.kernel import DeadlockError, Scheduler, Simulator
+from repro.sim.kernel import CancelHandle, DeadlockError, Scheduler, Simulator
 
 
 class FirstChoice(Scheduler):
@@ -225,3 +227,154 @@ def test_deadlock_error_lists_every_blocked_task(scheduler):
     assert excinfo.value.blocked == stuck
     for name in ("worker-1", "worker-2", "worker-3"):
         assert name in str(excinfo.value)
+
+
+# ----------------------------------------------------------------------
+# adversarial coverage: the kernel against a reference with no fast paths
+#
+# The `(when, seq)` total order is the repo's reproducibility invariant —
+# every committed golden schedule assumes it — so this is the cheap,
+# adversarial version of the 42 fixture gates.  The reference keeps one
+# list and pops its minimum, so neither the delay-0 FIFO lane, the
+# nocancel handle sharing nor lazy tombstone skipping can hide in it.
+
+
+class _ReferenceKernel:
+    def __init__(self):
+        self.now = 0
+        self.events_executed = 0
+        self._queue = []
+        self._seq = 0
+
+    def schedule(self, delay, fn, *args):
+        assert delay >= 0
+        self._seq += 1
+        handle = CancelHandle()
+        self._queue.append((self.now + delay, self._seq, handle, fn, args))
+        return handle
+
+    schedule_nocancel = schedule
+
+    def schedule_at(self, when, fn, *args):
+        return self.schedule(when - self.now, fn, *args)
+
+    def run(self, until=None):
+        while True:
+            self._queue = [e for e in self._queue if not e[2].cancelled]
+            if not self._queue:
+                return self.now
+            entry = min(self._queue, key=lambda e: e[:2])
+            if until is not None and entry[0] > until:
+                self.now = until
+                return until
+            self._queue.remove(entry)
+            self.now = entry[0]
+            self.events_executed += 1
+            entry[3](*entry[4])
+
+
+# Same tick, near future, and the 500 ms retransmit-timeout regime.
+DELTAS = st.one_of(
+    st.integers(0, 200_000),
+    st.sampled_from([0, 1, 65_536, 16_777_216, 500_000_000]),
+)
+
+
+@st.composite
+def kernel_programs(draw):
+    """(top_ops, until) — ops may nest up to two levels into callbacks."""
+
+    def op(depth):
+        kind = draw(
+            st.sampled_from(
+                ["schedule", "schedule", "nocancel", "schedule_at", "cancel"]
+            )
+        )
+        if kind == "cancel":
+            return ("cancel", draw(st.integers(0, 100)))
+        nested = []
+        if depth < 2 and draw(st.booleans()):
+            nested = [op(depth + 1) for _ in range(draw(st.integers(1, 3)))]
+        return (kind, draw(DELTAS), draw(st.integers(0, 10**6)), nested)
+
+    top = [op(0) for _ in range(draw(st.integers(1, 25)))]
+    until = draw(st.one_of(st.none(), DELTAS))
+    return top, until
+
+
+def _interpret(sim, top_ops, until):
+    """Run one program; return the (time, tag) execution log."""
+    log = []
+    handles = []
+
+    def fire(tag, nested):
+        log.append((sim.now, tag))
+        for op in nested:
+            apply_op(op)
+
+    def apply_op(op):
+        if op[0] == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+            return
+        kind, delta, tag, nested = op
+        if kind == "schedule":
+            handles.append(sim.schedule(delta, fire, tag, nested))
+        elif kind == "nocancel":
+            sim.schedule_nocancel(delta, fire, tag, nested)
+        else:
+            handles.append(sim.schedule_at(sim.now + delta, fire, tag, nested))
+
+    for op in top_ops:
+        apply_op(op)
+    if until is not None:
+        # Pause mid-run, then keep scheduling: new events may land
+        # *earlier* than everything still queued.
+        sim.run(until=until)
+        for op in top_ops:
+            apply_op(op)
+    sim.run()
+    return log, sim.now, sim.events_executed
+
+
+@given(kernel_programs())
+@settings(max_examples=150, deadline=None)
+def test_kernel_replays_the_reference_order_exactly(program):
+    top_ops, until = program
+    sim = Simulator()
+    assert _interpret(sim, top_ops, until) == _interpret(
+        _ReferenceKernel(), top_ops, until
+    )
+    assert sim.pending() == 0
+
+
+def test_delay_zero_lane_yields_to_an_earlier_seq_at_the_same_tick():
+    logs = []
+    for sim in (Simulator(), _ReferenceKernel()):
+        order = []
+        sim.schedule(5, lambda: sim.schedule(0, order.append, "zero"))
+        sim.schedule(5, order.append, "sibling")
+        sim.run()
+        logs.append(order)
+    assert logs == [["sibling", "zero"]] * 2
+
+
+def test_run_until_then_an_earlier_event_fires_first():
+    sim = Simulator()
+    order = []
+    sim.schedule(5 * 65_536, order.append, "late")
+    sim.run(until=3 * 65_536)
+    sim.schedule(1, order.append, "early")  # earlier than everything queued
+    sim.run()
+    assert order == ["early", "late"]
+    assert sim.now == 5 * 65_536
+
+
+def test_far_future_timer_cancel_never_fires():
+    sim = Simulator()
+    fired = []
+    handle = sim.schedule(500_000_000, fired.append, "timeout")
+    sim.schedule(10, handle.cancel)
+    sim.run()
+    assert fired == []
+    assert sim.now == 10
