@@ -39,7 +39,7 @@ import numpy as np
 from repro.api.ivy import IvyProcessContext
 from repro.apps.common import alloc_done_ec, spawn_workers, wait_done
 
-__all__ = ["TspApp", "held_karp", "mst_weight"]
+__all__ = ["BoundTable", "TspApp", "held_karp", "mst_weight", "tree_size"]
 
 #: Branch record: cost f64 | depth i64 | visited mask i64 | path bytes.
 MAX_CITIES = 16
@@ -107,6 +107,13 @@ def mst_weight(w: Any, nodes: list[int]) -> float:
     vectorised version operation for operation, so every bound (and
     therefore every pruning decision and the event schedule downstream)
     is bit-for-bit unchanged.
+
+    The search asks for the same tree many times over (82% of the
+    bounds of the 12-city Figure 5 instance repeat), so it goes through
+    a :class:`BoundTable`, which calls this once per distinct node list.
+    Each :meth:`TspApp.main` creates its own table: one that outlived a
+    run would let a repeated run (the benchmark's back-to-back passes)
+    start warm, and so time a program no user runs.
     """
     r = len(nodes)
     if r <= 1:
@@ -136,6 +143,43 @@ def mst_weight(w: Any, nodes: list[int]) -> float:
             if v < dist[k]:
                 dist[k] = v
     return total
+
+
+def tree_size(n: int, visited: int) -> int:
+    """Nodes in the 1-tree that bounds any one-city extension of a
+    partial tour over ``visited`` (start city included): {start, next}
+    plus the ``n - popcount - 1`` other unvisited cities."""
+    return n + 1 - visited.bit_count()
+
+
+class BoundTable(dict[int, float]):
+    """One run's memo of 1-tree weights, keyed ``(visited << 4) | nxt``.
+
+    The key fixes the exact node list the search bounds when it extends
+    a tour over ``visited`` by city ``nxt`` — ``[0, nxt]`` then every
+    other unvisited city in ascending order — so a hit returns the very
+    float :func:`mst_weight` would (no ``visited``-only key: Prim's tie
+    order depends on the list, not the set).  Lookups are plain
+    ``table[key]``, so a hit runs no Python code; a miss computes the
+    weight and keeps it.
+
+    All of one run's workers share the table: memoising a pure function
+    on the host moves no simulated state, and the simulated CPU charge
+    comes from :func:`tree_size`, hit or miss.
+    """
+
+    def __init__(self, w: list[list[float]]) -> None:
+        super().__init__()
+        self.w = w
+        self.n = len(w)
+
+    def __missing__(self, key: int) -> float:
+        visited, nxt = key >> 4, key & 0xF
+        tree_nodes = [0, nxt] + [
+            c for c in range(self.n) if not visited & (1 << c) and c != nxt
+        ]
+        weight = self[key] = mst_weight(self.w, tree_nodes)
+        return weight
 
 
 class TspApp:
@@ -187,22 +231,20 @@ class TspApp:
             cur = nxt
         return total + float(self.w[cur, 0])
 
-    def _seed_branches(self) -> list[bytes]:
+    def _seed_branches(self, bounds: BoundTable) -> list[bytes]:
         """All depth-2 subtours 0 -> b -> c, the units of parallel work,
         ordered so the most promising (smallest lower bound) is popped
         first from the LIFO pool."""
         scored = []
-        wl = self.w.tolist()
+        wl = bounds.w
         for b in range(1, self.n):
             for c in range(1, self.n):
                 if c == b:
                     continue
                 cost = wl[0][b] + wl[b][c]
+                # The tour over {0, b} extended by c.
+                bound = cost + bounds[((1 | (1 << b)) << 4) | c]
                 visited = 1 | (1 << b) | (1 << c)
-                rest = [0, c] + [
-                    x for x in range(1, self.n) if not visited & (1 << x)
-                ]
-                bound = cost + mst_weight(wl, rest)
                 scored.append(
                     (bound, _pack_entry(cost, 3, visited, bytes([0, b, c])))
                 )
@@ -226,7 +268,11 @@ class TspApp:
         yield from ctx.write_f64(best_addr, self.nearest_neighbour_tour())
         lock_addr = yield from ctx.malloc(1024)
         yield from ctx.lock_init(lock_addr)
-        branches = self._seed_branches()
+        # Built here, not in __init__: the weights are final only now
+        # (a caller may relabel ``self.w`` after construction), and the
+        # table must not outlive this run.
+        bounds = BoundTable(self.w.tolist())
+        branches = self._seed_branches(bounds)
         pool_addr = yield from ctx.malloc(POOL_HEADER + ENTRY_BYTES * len(branches))
         yield ctx.ops(20 * len(branches))
         yield ctx.flops(len(branches) * (self.n - 2) ** 2)  # seeding bounds
@@ -237,7 +283,7 @@ class TspApp:
         done = yield from alloc_done_ec(ctx)
         yield from spawn_workers(
             ctx, self._worker, self.nprocs, w_addr, best_addr, lock_addr, pool_addr,
-            done_ec=done,
+            bounds, done_ec=done,
         )
         yield from wait_done(ctx, done, self.nprocs)
         best = yield from ctx.read_f64(best_addr)
@@ -253,6 +299,7 @@ class TspApp:
         best_addr: int,
         lock_addr: int,
         pool_addr: int,
+        bounds: BoundTable,
     ) -> Generator[Any, Any, None]:
         n = self.n
         w_flat = yield from ctx.mem.fetch_array(w_addr, np.float64, n * n)
@@ -292,8 +339,10 @@ class TspApp:
                     continue  # thrown away, per the paper
                 last = path[depth - 1]
                 wlast = w[last]
+                r = tree_size(n, visited)
                 work_ops = 0
                 work_flops = 0
+                key_base = visited << 4
                 for nxt in range(n):
                     if visited & (1 << nxt):
                         continue
@@ -307,12 +356,9 @@ class TspApp:
                                 ctx, lock_addr, best_addr, total
                             )
                         continue
-                    tree_nodes = [0, nxt] + [
-                        c for c in range(n) if not visited & (1 << c) and c != nxt
-                    ]
-                    work_ops += len(tree_nodes) ** 2 * PRIM_OPS
-                    work_flops += len(tree_nodes) ** 2
-                    bound = step_cost + mst_weight(w, tree_nodes)
+                    work_ops += r**2 * PRIM_OPS
+                    work_flops += r**2
+                    bound = step_cost + bounds[key_base | nxt]
                     if bound < best_seen:
                         stack.append(
                             (step_cost, new_depth, visited | (1 << nxt), path + [nxt])

@@ -19,11 +19,17 @@ by the shared address space, never copies (guide rule: views not copies).
 
 from __future__ import annotations
 
+import difflib
 from collections import OrderedDict
 
 import numpy as np
 
+from repro.config import ConfigError
+
 __all__ = ["PhysicalMemory", "FramePressure"]
+
+#: The legal ``memory.replacement`` values.
+REPLACEMENT_POLICIES = ("lru", "random")
 
 
 class FramePressure(RuntimeError):
@@ -42,8 +48,14 @@ class PhysicalMemory:
     ) -> None:
         if frames is not None and frames < 2:
             raise ValueError("a node needs at least 2 page frames")
-        if replacement not in ("lru", "random"):
-            raise ValueError(f"unknown replacement policy {replacement!r}")
+        if replacement not in REPLACEMENT_POLICIES:
+            close = difflib.get_close_matches(
+                str(replacement), REPLACEMENT_POLICIES, n=1, cutoff=0.6
+            )
+            raise ConfigError(
+                "memory.replacement", replacement, REPLACEMENT_POLICIES,
+                suggestion=close[0] if close else None,
+            )
         self.page_size = page_size
         self.capacity = frames
         self.replacement = replacement

@@ -224,10 +224,21 @@ def make_fabric(
     near-misses, the exact name the caller probably meant.  So does a
     loss rate set on the medium the backend does not read: each backend
     has exactly one loss knob (``ring.loss_rate`` on the ring,
-    ``fabric.loss_rate`` on the switched fabric).
+    ``fabric.loss_rate`` on the switched fabric).  A loss rate outside
+    ``[0, 1)`` is rejected the same way: a negative one would silently
+    run lossless, and 1 would lose every frame until the retransmit
+    budget ran out.
     """
     from repro.config import ConfigError
 
+    for medium in ("ring", "fabric"):
+        rate = getattr(config, medium).loss_rate
+        if not 0.0 <= rate < 1.0:
+            raise ConfigError(
+                f"{medium}.loss_rate", rate, ("[0, 1)",),
+                message=f"{medium}.loss_rate={rate!r} is out of range; "
+                "a loss rate must be in [0, 1)",
+            )
     backend = config.fabric.backend
     ignored, read = ("fabric", "ring") if backend == "ring" else ("ring", "fabric")
     loss = getattr(config, ignored).loss_rate

@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 from repro.apps.common import partition
 from repro.apps.pde3d import stencil_sweep
 from repro.apps.sort import RECORD_BYTES, MergeSplitSortApp, _dtype
+from repro.api.ivy import Ivy
+from repro.apps import tsp
 from repro.apps.tsp import (
+    BoundTable,
     TspApp,
     _pack_entry,
     _unpack_entry,
     held_karp,
     mst_weight,
+    tree_size,
 )
+from repro.config import ClusterConfig
 from repro.exps.fig6 import ideal_speedup
 
 
@@ -91,6 +96,58 @@ def test_tsp_bound_is_admissible_everywhere():
     optimal = app.golden()
     # Root bound: MST over all cities <= optimal tour.
     assert mst_weight(app.w, list(range(7))) <= optimal + 1e-9
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_bound_table_is_bit_exact_for_every_key(n):
+    """Every ``(visited, nxt)`` pair (a superset of those the search
+    asks about) gets exactly the float ``mst_weight`` gives for the node
+    list the search used to build, on the miss and on the hit, and the
+    arithmetic tree size is that list's length.  12 cities puts ``nxt``
+    past 3 bits of the key."""
+    w = TspApp(1, ncities=n, metric="random").w.tolist()
+    table = BoundTable(w)
+    pairs = 0
+    for others in range(1 << (n - 1)):
+        visited = 1 | (others << 1)  # every tour starts at city 0
+        for nxt in range(1, n):
+            if visited & (1 << nxt):
+                continue
+            tree_nodes = [0, nxt] + [
+                c for c in range(n) if not visited & (1 << c) and c != nxt
+            ]
+            expected = mst_weight(w, tree_nodes)
+            key = (visited << 4) | nxt
+            assert key not in table
+            assert table[key] == expected
+            assert table[key] == expected
+            assert tree_size(n, visited) == len(tree_nodes)
+            pairs += 1
+    assert pairs == len(table) == (n - 1) * 2 ** (n - 2)  # nxt, the rest in/out
+
+
+@pytest.mark.parametrize("nprocs", [1, 4])
+def test_bound_table_lives_for_one_run(nprocs, monkeypatch):
+    """Running one app object twice repeats the run exactly, and the
+    second run computes every bound afresh: no table outlives a run."""
+    misses = []
+
+    class CountingTable(BoundTable):
+        def __missing__(self, key):
+            misses[-1] += 1
+            return super().__missing__(key)
+
+    monkeypatch.setattr(tsp, "BoundTable", CountingTable)
+    app = TspApp(nprocs, ncities=8)
+    runs = []
+    for _ in range(2):
+        misses.append(0)
+        ivy = Ivy(ClusterConfig(nodes=nprocs))
+        app.check(ivy.run(app.main))
+        expanded = ivy.cluster.total_counters()["tsp_nodes_expanded"]
+        runs.append((ivy.cluster.sim.events_executed, ivy.time_ns, expanded))
+    assert runs[0] == runs[1]
+    assert misses[0] == misses[1] > 0
 
 
 def test_held_karp_small_instances():

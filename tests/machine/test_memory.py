@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import ClusterConfig, ConfigError
 from repro.machine.memory import FramePressure, PhysicalMemory
 
 
@@ -118,3 +119,17 @@ def test_wrong_size_install_rejected():
 def test_tiny_capacity_rejected():
     with pytest.raises(ValueError):
         PhysicalMemory(page_size=16, frames=1)
+
+
+@pytest.mark.parametrize("policy, suggestion", [("fifo", None), ("randm", "random")])
+def test_unknown_replacement_policy_is_a_config_error(policy, suggestion):
+    from repro.api.cluster import Cluster
+
+    with pytest.raises(ConfigError) as excinfo:
+        Cluster(ClusterConfig(nodes=2).with_memory(frames=8, replacement=policy))
+    err = excinfo.value
+    assert (err.field, err.value, err.known) == (
+        "memory.replacement", policy, ("lru", "random")
+    )
+    assert err.suggestion == suggestion
+    assert isinstance(err, ValueError)  # callers catching ValueError still do

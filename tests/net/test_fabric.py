@@ -109,6 +109,27 @@ def test_loss_knob_the_backend_ignores_is_a_config_error(backend, ignored, read)
     assert Cluster(right).fabric.name == backend
 
 
+@pytest.mark.parametrize("rate", [-0.5, 1.0])
+@pytest.mark.parametrize("medium", ["ring", "fabric"])
+@pytest.mark.parametrize("backend", ["ring", "switched"])
+def test_loss_rate_outside_unit_interval_is_a_config_error(backend, medium, rate):
+    """Neither knob may leave [0, 1), on either backend: -0.5 used to run
+    lossless and 1.0 to fail only after the retransmit budget ran out."""
+    from repro.api.cluster import Cluster
+
+    config = ClusterConfig(nodes=2).with_fabric(backend=backend)
+    config = (
+        config.with_ring(loss_rate=rate) if medium == "ring"
+        else config.with_fabric(loss_rate=rate)
+    )
+    with pytest.raises(ConfigError) as excinfo:
+        Cluster(config)
+    err = excinfo.value
+    field = f"{medium}.loss_rate"
+    assert (err.field, err.value, err.known) == (field, rate, ("[0, 1)",))
+    assert field in str(err) and "[0, 1)" in str(err)
+
+
 # ----------------------------------------------------------------------
 # switched medium model: timing
 
