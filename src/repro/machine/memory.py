@@ -13,6 +13,15 @@ frame.  Because the old stamps were unique and monotonic, min-stamp
 order and touch order are the same total order: the victim choice (and
 therefore the event schedule) is bit-for-bit unchanged.
 
+Under ``replacement="random"`` the pool also keeps ``_sorted``, the
+resident pages in ascending order, maintained by :meth:`install` and
+:meth:`drop` with ``bisect``, so an eviction need not list and sort
+every frame.  For the same rng draw the index yields the same ``i``-th
+smallest candidate that sorting the candidate list would (see
+:meth:`lru_victim`), so the rng stream and the event schedule are
+bit-for-bit unchanged.  LRU never reads the index, so LRU pools keep
+none and pay nothing for it.
+
 Frames hold real bytes as ``numpy.uint8`` arrays; typed views are taken
 by the shared address space, never copies (guide rule: views not copies).
 """
@@ -20,6 +29,7 @@ by the shared address space, never copies (guide rule: views not copies).
 from __future__ import annotations
 
 import difflib
+from bisect import bisect_left, insort
 from collections import OrderedDict
 
 import numpy as np
@@ -47,7 +57,11 @@ class PhysicalMemory:
         rng: np.random.Generator | None = None,
     ) -> None:
         if frames is not None and frames < 2:
-            raise ValueError("a node needs at least 2 page frames")
+            raise ConfigError(
+                "memory.frames", frames, (">= 2",),
+                message=f"memory.frames={frames!r} is too small; "
+                "a node needs at least 2 page frames",
+            )
         if replacement not in REPLACEMENT_POLICIES:
             close = difflib.get_close_matches(
                 str(replacement), REPLACEMENT_POLICIES, n=1, cutoff=0.6
@@ -56,6 +70,8 @@ class PhysicalMemory:
                 "memory.replacement", replacement, REPLACEMENT_POLICIES,
                 suggestion=close[0] if close else None,
             )
+        if replacement == "random" and rng is None:
+            raise ValueError("random replacement needs an rng to draw victims from")
         self.page_size = page_size
         self.capacity = frames
         self.replacement = replacement
@@ -65,6 +81,9 @@ class PhysicalMemory:
         #: Resident pages in recency order: coldest first, hottest last.
         #: Invariant: exactly the keys of ``_frames``.
         self._recency: OrderedDict[int, None] = OrderedDict()
+        #: Resident pages in ascending order, kept only under random
+        #: replacement.  Invariant: ``_sorted == sorted(_frames)``.
+        self._sorted: list[int] | None = [] if replacement == "random" else None
 
     # ------------------------------------------------------------------
 
@@ -130,6 +149,8 @@ class PhysicalMemory:
                 else np.empty(self.page_size, dtype=np.uint8)
             )
             self._frames[page] = frame
+            if self._sorted is not None:
+                insort(self._sorted, page)
         if data is not None:
             if len(data) != self.page_size:
                 raise ValueError(
@@ -144,7 +165,8 @@ class PhysicalMemory:
         """Release the frame of ``page`` (must be unpinned)."""
         if self._pins.get(page, 0):
             raise RuntimeError(f"dropping pinned page {page}")
-        self._frames.pop(page, None)
+        if self._frames.pop(page, None) is not None and self._sorted is not None:
+            del self._sorted[bisect_left(self._sorted, page)]
         self._recency.pop(page, None)
         # A dropped page must leave no recency residue: a stale entry
         # would make a later reinstall inherit the old position.
@@ -175,18 +197,33 @@ class PhysicalMemory:
         (strict LRU, or the random choice Aegis's sampled-use-bit clock
         degenerates to under cyclic sweeps).  Pinned and ``skip``-ped
         pages are never chosen; raises :class:`FramePressure` when no
-        candidate exists."""
-        if self.replacement == "random" and self._rng is not None:
-            candidates = [
-                page
-                for page in self._frames
-                if not self._pins.get(page, 0)
-                and (skip is None or page not in skip)
-            ]
-            if not candidates:
+        candidate exists.
+
+        The random choice is the ``i``-th smallest candidate for
+        ``i = rng.integers(n)``, ``n`` the candidate count.  It is found
+        in the ``_sorted`` index by stepping ``i`` past each excluded
+        (pinned or vetoed) resident page at a position ``<= i``, taken in
+        ascending order, so each eviction costs
+        O(excluded * log frames) instead of sorting every frame, while
+        drawing exactly what sorting the candidate list drew.
+        """
+        index = self._sorted
+        if index is not None:
+            assert self._rng is not None
+            resident = self._frames.keys()
+            # Pins and vetoes may name pages that are not resident.
+            excluded = resident & self._pins.keys()
+            if skip:
+                excluded |= resident & skip
+            n = len(index) - len(excluded)
+            if n == 0:
                 raise FramePressure("all resident pages are pinned")
-            candidates.sort()  # determinism: dict order is insertion order
-            return int(candidates[self._rng.integers(len(candidates))])
+            i = int(self._rng.integers(n))
+            for page in sorted(excluded):
+                if bisect_left(index, page) > i:
+                    break
+                i += 1
+            return index[i]
         pins = self._pins
         for page in self._recency:  # coldest first
             if pins.get(page, 0):

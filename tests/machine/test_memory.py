@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api.ivy import Ivy
 from repro.config import ClusterConfig, ConfigError
 from repro.machine.memory import FramePressure, PhysicalMemory
 
@@ -119,6 +122,86 @@ def test_wrong_size_install_rejected():
 def test_tiny_capacity_rejected():
     with pytest.raises(ValueError):
         PhysicalMemory(page_size=16, frames=1)
+
+
+@pytest.mark.parametrize("frames", [0, 1, -3])
+def test_too_few_frames_is_a_config_error(frames):
+    with pytest.raises(ConfigError) as excinfo:
+        Ivy(ClusterConfig().with_memory(frames=frames))
+    err = excinfo.value
+    assert (err.field, err.value) == ("memory.frames", frames)
+    assert isinstance(err, ValueError)
+
+
+def test_random_replacement_requires_an_rng():
+    # It used to fall back to strict LRU silently.
+    with pytest.raises(ValueError, match="rng"):
+        PhysicalMemory(page_size=16, frames=4, replacement="random")
+
+
+class _ScanVictim(PhysicalMemory):
+    """The pre-index random victim: list and sort every candidate."""
+
+    def lru_victim(self, skip=None):
+        candidates = [
+            page
+            for page in self._frames
+            if not self._pins.get(page, 0) and (skip is None or page not in skip)
+        ]
+        if not candidates:
+            raise FramePressure("all resident pages are pinned")
+        candidates.sort()
+        return int(candidates[self._rng.integers(len(candidates))])
+
+
+_PAGES = st.integers(0, 11)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), _PAGES),
+        st.tuples(st.just("drop"), _PAGES),
+        st.tuples(st.just("pin"), _PAGES),
+        st.tuples(st.just("unpin"), _PAGES),
+        st.tuples(st.just("victim"), st.frozensets(_PAGES, max_size=4)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frames=st.integers(2, 8), ops=_OPS)
+def test_indexed_random_victim_matches_the_sorted_scan(seed, frames, ops):
+    fast = PhysicalMemory(
+        16, frames, replacement="random", rng=np.random.default_rng(seed)
+    )
+    slow = _ScanVictim(
+        16, frames, replacement="random", rng=np.random.default_rng(seed)
+    )
+    for op, arg in ops:
+        if op == "victim":
+            # Vetoes, like pins, may name pages that are not resident.
+            got = []
+            for mem in (fast, slow):
+                try:
+                    got.append(mem.lru_victim(set(arg)))
+                except FramePressure:
+                    got.append(FramePressure)
+            assert got[0] == got[1]
+        elif op == "install":
+            if arg in fast or not fast.full:
+                fast.install(arg)
+                slow.install(arg)
+        elif op == "drop":
+            if not fast.pinned(arg):
+                fast.drop(arg)
+                slow.drop(arg)
+        elif op == "pin":
+            fast.pin(arg)
+            slow.pin(arg)
+        elif fast.pinned(arg):
+            fast.unpin(arg)
+            slow.unpin(arg)
+        assert fast._sorted == sorted(fast._frames)
+    assert fast.resident_pages() == slow.resident_pages()
 
 
 @pytest.mark.parametrize("policy, suggestion", [("fifo", None), ("randm", "random")])
