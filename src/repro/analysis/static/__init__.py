@@ -10,7 +10,7 @@ lint time:
 - :mod:`repro.analysis.static.dataflow` — a generic disjunctive
   forward-analysis driver over those CFGs;
 - :mod:`repro.analysis.static.locks` — held-lock/span abstract
-  interpretation: the six legacy protocol-lint rules, now path-aware
+  interpretation: the five protocol-lint discipline rules, now path-aware
   (the ``try_acquire`` fast path and keeps-lock hand-offs are inferred,
   not annotated);
 - :mod:`repro.analysis.static.waitfor` — cross-handler lock-order and

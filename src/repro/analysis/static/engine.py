@@ -2,9 +2,9 @@
 
 Three path sets, matching how strict each tree's contract is:
 
-- **discipline** (the six legacy lint rules, now path-sensitive): the
-  protocol, net, machine and obs trees — anywhere entry locks, spans or
-  scheduled events live.
+- **discipline** (the five legacy lint rules, now path-sensitive): the
+  protocol, net, machine and obs trees — anywhere entry locks or spans
+  live.
 - **protocol** (wait-for graph + message matrix + footprint/commute
   certification): ``repro/svm`` — the manager classes.
 - **determinism**: everything that executes inside simulated time —

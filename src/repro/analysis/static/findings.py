@@ -34,10 +34,6 @@ RULES: dict[str, str] = {
     "span-balance": (
         "a span opened in an effect generator must be closed on every path"
     ),
-    "cancel-handle": (
-        "schedule/schedule_at results must be kept, cancelled, or the "
-        "_nocancel variant used"
-    ),
     "waitfor-cycle": (
         "the cross-handler wait-for graph must be acyclic (static "
         "deadlock-freedom)"

@@ -26,7 +26,7 @@ annotations for fall out naturally:
 The legacy suppression comments are still honoured for cases the
 inference cannot see (none remain in-tree).  The syntactic rules that
 need no dataflow (lock-free servers, ``return`` in a generator
-``finally``, discarded ``CancelHandle``\\ s) are ported verbatim.
+``finally``) are ported verbatim.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.analysis.static.findings import Finding
 __all__ = [
     "LOCK_FREE_SERVERS",
     "SUPPRESS_COMMENT",
-    "SUPPRESS_HANDLE_COMMENT",
     "LockChecker",
     "discipline_findings",
 ]
@@ -57,7 +56,6 @@ __all__ = [
 LOCK_FREE_SERVERS = ("_serve_inv", "_serve_update", "_serve_hint")
 
 SUPPRESS_COMMENT = "# lint: keeps-lock"
-SUPPRESS_HANDLE_COMMENT = "# lint: drops-handle"
 
 
 class Token(NamedTuple):
@@ -502,52 +500,12 @@ def _return_in_finally_findings(path: str, tree: ast.Module) -> list[Finding]:
     return findings
 
 
-def _discarded_handle_findings(
-    path: str, tree: ast.Module, source_lines: list[str]
-) -> list[Finding]:
-    findings = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Expr):
-            continue
-        call = node.value
-        if not isinstance(call, ast.Call):
-            continue
-        func = call.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and func.attr in ("schedule", "schedule_at")
-        ):
-            continue
-        line = (
-            source_lines[node.lineno - 1]
-            if node.lineno - 1 < len(source_lines)
-            else ""
-        )
-        if SUPPRESS_HANDLE_COMMENT in line:
-            continue
-        variant = f"{func.attr}_nocancel"
-        findings.append(
-            Finding(
-                "cancel-handle",
-                path,
-                node.lineno,
-                f"{ast.unparse(func)}(...) discards its CancelHandle — "
-                "these modules schedule an event per message/fault, so a "
-                f"never-cancelled event must use {variant} (assign the "
-                "handle if the event is genuinely cancellable; annotate "
-                f"with '{SUPPRESS_HANDLE_COMMENT}' to override)",
-            )
-        )
-    return findings
-
-
 def discipline_findings(
     path: str, tree: ast.Module, source_lines: list[str]
 ) -> list[Finding]:
-    """All six legacy rules, the balance rules path-sensitively."""
+    """The five discipline rules, the balance rules path-sensitively."""
     findings = _lock_free_server_findings(path, tree)
     findings += _return_in_finally_findings(path, tree)
-    findings += _discarded_handle_findings(path, tree, source_lines)
     for fn in function_defs(tree):
         findings += LockChecker(fn, path, source_lines).leak_findings()
     return findings

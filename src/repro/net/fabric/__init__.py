@@ -188,12 +188,11 @@ class Fabric:
             # Labels matter only to an installed Scheduler; building one
             # per delivery is measurable on the hot path, so skip it on
             # uncontrolled runs.
-            sim.schedule_at_nocancel(
-                arrival, self._deliver, target, msg,
-                label=delivery_label(target, msg),
+            sim.schedule_at(
+                arrival, self._deliver, target, msg, label=delivery_label(target, msg)
             )
         else:
-            sim.schedule_at_nocancel(arrival, self._deliver, target, msg)
+            sim.schedule_at(arrival, self._deliver, target, msg)
 
     def _deliver(self, target: int, msg: Message) -> None:
         receiver = self._receivers.get(target)

@@ -40,7 +40,7 @@ from typing import Any, Callable, Generator
 from repro.config import MICROSECOND, ClusterConfig
 from repro.net.fabric import Fabric
 from repro.net.packet import BROADCAST, HEADER_BYTES, Message, delivery_label, op_page
-from repro.sim.kernel import CancelHandle, Simulator
+from repro.sim.kernel import Event, Simulator
 from repro.sim.process import Compute, Effect, SimDriver
 from repro.sim.sync import Gate
 from repro.sim.trace import NULL_TRACE, TraceRecorder
@@ -92,7 +92,7 @@ class _Pending:
     def __init__(self, msg: Message, want: int) -> None:
         self.msg = msg
         self.gate = Gate()
-        self.timer: CancelHandle | None = None
+        self.timer: Event | None = None
         self.retries = 0
         #: Number of replies still needed (1 for unicast/any, N-1 for all).
         self.want = want
@@ -328,12 +328,12 @@ class Transport:
         if msg.dst == self.node_id:
             # Local deliveries bypass the fabric.
             if self.sim.scheduler is not None:
-                self.sim.schedule_nocancel(
+                self.sim.schedule(
                     LOCAL_DELIVERY_NS, self._on_message, msg,
                     label=delivery_label(self.node_id, msg),
                 )
             else:
-                self.sim.schedule_nocancel(LOCAL_DELIVERY_NS, self._on_message, msg)
+                self.sim.schedule(LOCAL_DELIVERY_NS, self._on_message, msg)
         else:
             self.ring.send(msg)
 
@@ -405,7 +405,7 @@ class Transport:
             result = msg.payload
         del self._pending[msg.msg_id]
         if pending.timer is not None:
-            pending.timer.cancel()
+            self.sim.cancel(pending.timer)
         pending.gate.post(result)
 
     def _on_request(self, msg: Message) -> None:

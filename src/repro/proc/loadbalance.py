@@ -22,7 +22,7 @@ from repro.api.cluster import NodeContext
 from repro.net.packet import request_size
 from repro.proc.migration import OP_WORKREQ, MigrationService
 from repro.proc.scheduler import NodeScheduler
-from repro.sim.kernel import CancelHandle
+from repro.sim.kernel import Event
 
 __all__ = ["LoadBalancer"]
 
@@ -41,7 +41,7 @@ class LoadBalancer:
         self.migration = migration
         self.config = node.cluster.config.sched
         self.counters = node.counters
-        self._timer: CancelHandle | None = None
+        self._timer: Event | None = None
         self._asking = False
         self._stopped = True
         node.remote.register(OP_WORKREQ, self._serve_workreq)
@@ -59,7 +59,7 @@ class LoadBalancer:
     def stop(self) -> None:
         self._stopped = True
         if self._timer is not None:
-            self._timer.cancel()
+            self.node.cluster.sim.cancel(self._timer)
             self._timer = None
 
     def _arm(self) -> None:

@@ -122,12 +122,12 @@ class NodeScheduler(Driver):
                 self.obs.interval(
                     self.node_id, "compute", self.sim.now, self.sim.now + effect.ns
                 )
-            self.sim.schedule_nocancel(effect.ns, self._resume, task)
+            self.sim.schedule(effect.ns, self._resume, task)
         elif isinstance(effect, Sleep):
             task.state = TaskState.BLOCKED
             pcb.state = ProcState.BLOCKED
             self.current = None
-            self.sim.schedule_nocancel(effect.ns, self.make_ready, pcb)
+            self.sim.schedule(effect.ns, self.make_ready, pcb)
             self._schedule_dispatch()
         elif isinstance(effect, Suspend):
             task.state = TaskState.BLOCKED
@@ -218,7 +218,7 @@ class NodeScheduler(Driver):
         if self._dispatch_pending:
             return
         self._dispatch_pending = True
-        self.sim.schedule_nocancel(0, self._dispatch)
+        self.sim.schedule(0, self._dispatch)
 
     def _dispatch(self) -> None:
         self._dispatch_pending = False
@@ -234,9 +234,7 @@ class NodeScheduler(Driver):
                 self.sim.now, self.sim.now + self.config.cpu.context_switch,
             )
         value, pcb.wake_value = pcb.wake_value, None
-        self.sim.schedule_nocancel(
-            self.config.cpu.context_switch, self._first_step, pcb, value
-        )
+        self.sim.schedule(self.config.cpu.context_switch, self._first_step, pcb, value)
 
     def _first_step(self, pcb: PCB, value: Any) -> None:
         if not pcb.task.done:

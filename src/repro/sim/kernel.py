@@ -1,29 +1,19 @@
 """Event queue and simulated clock: the simulator's one event kernel.
 
-The simulator is a classic discrete-event loop over a binary heap of
-``(time, seq, callback, args)`` entries.  ``seq`` is a global monotonic
-counter so that events scheduled at the same tick fire in scheduling
-order — this is what makes every run bit-for-bit reproducible.  (A
-calendar-queue timer lane was tried as an alternative kernel; on the
-paper workloads of ``perfbench/`` it was within noise of this heap, so
-it was removed.)
+The simulator is a classic discrete-event loop over one binary heap.
+Each heap entry is a 5-element list ``[time, seq, fn, args, label]``.
+``seq`` is a global monotonic counter, so events scheduled for the same
+tick fire in scheduling order (and heap comparisons never reach ``fn``);
+this is what makes every run bit-for-bit reproducible.  ``label`` is an
+annotation read only by an installed :class:`Scheduler`.
 
-Two wall-clock fast paths ride on that invariant without changing it:
-
-* **Same-tick FIFO lane.**  A ``schedule(0, ...)`` call made while no
-  :class:`Scheduler` is installed lands in a deque instead of the heap.
-  Because ``seq`` is globally monotonic, everything already queued for
-  the current tick has a *smaller* seq than a freshly scheduled delay-0
-  event, so draining the deque in FIFO order — merged against the heap
-  front by ``(time, seq)`` — fires events in exactly the order the
-  heap-only loop would.  The deque is always empty by the time the
-  clock advances, and :meth:`_run_controlled` flushes it back into the
-  heap so the schedule explorer sees one uniform queue.
-* **``schedule_nocancel``.**  Most events are never cancelled; the
-  nocancel variants skip the per-event :class:`CancelHandle` allocation
-  by sharing one immortal handle.  (Slotted event records were measured
-  *slower* than plain tuples under ``heapq`` — tuple comparison is C,
-  ``__lt__`` dispatch is not — so heap entries stay 6-tuples.)
+:meth:`Simulator.schedule` returns the entry itself, and that entry is
+the event's cancellation handle.  :meth:`Simulator.cancel` sets its
+callback slot to ``None`` and drops its args: the entry becomes a
+*tombstone* that holds nothing it carried but stays queued until it
+reaches the heap front, where the run loop discards it unfired.
+Cancelling an event that already fired, or cancelling twice, does
+nothing.
 
 Same-tick ordering is also the *only* nondeterminism a distributed
 schedule has in this model, which makes it a controlled choice point:
@@ -41,18 +31,21 @@ shrinkable failures instead of hangs.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import Any, Callable, Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 __all__ = [
     "Simulator",
     "CalendarSimulator",
     "DeadlockError",
-    "CancelHandle",
+    "Event",
     "PendingEvent",
     "Scheduler",
 ]
+
+#: A queued event, ``[time, seq, fn, args, label]``; also its cancel handle.
+#: ``fn is None`` marks a cancelled event (a tombstone).
+Event = list[Any]
 
 
 class DeadlockError(RuntimeError):
@@ -62,24 +55,6 @@ class DeadlockError(RuntimeError):
         self.blocked = list(blocked)
         names = ", ".join(str(t) for t in self.blocked) or "<unknown>"
         super().__init__(f"simulation deadlock: event queue empty with blocked tasks: {names}")
-
-
-class CancelHandle:
-    """Handle returned by :meth:`Simulator.schedule`; lets the caller
-    cancel a pending event (used by retransmission timers)."""
-
-    __slots__ = ("cancelled",)
-
-    def __init__(self) -> None:
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-#: Shared handle for events nobody can cancel (``schedule_nocancel``).
-#: One allocation for the lifetime of the process instead of one per event.
-_NEVER_CANCELLED = CancelHandle()
 
 
 class PendingEvent:
@@ -124,15 +99,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[
-            tuple[int, int, CancelHandle, Callable[..., None], tuple[Any, ...], str | None]
-        ] = []
-        #: Delay-0 events scheduled while no Scheduler is installed; always
-        #: drained before the clock advances (see module docstring).  Same
-        #: 6-tuple layout as the heap so entries can be folded back in.
-        self._fifo: deque[
-            tuple[int, int, CancelHandle, Callable[..., None], tuple[Any, ...], str | None]
-        ] = deque()
+        self._heap: list[Event] = []
         self._seq: int = 0
         #: Number of events executed so far (profiling / regression metric).
         self.events_executed: int = 0
@@ -142,8 +109,8 @@ class Simulator:
         #: First unhandled exception raised by a task, re-raised by run().
         self._failure: BaseException | None = None
         #: Same-tick ordering policy.  None (the default) keeps the
-        #: historical seq order on the untouched fast path; the schedule
-        #: explorer installs one to turn ties into choice points.
+        #: historical seq order; the schedule explorer installs one to
+        #: turn ties into choice points.
         self.scheduler: Scheduler | None = None
 
     def clock(self) -> Callable[[], int]:
@@ -160,53 +127,34 @@ class Simulator:
 
     def schedule(
         self, delay: int, fn: Callable[..., None], *args: Any, label: str | None = None
-    ) -> CancelHandle:
+    ) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ticks from now.
 
-        ``delay`` must be non-negative.  Returns a :class:`CancelHandle`.
-        ``label`` annotates the event for a :class:`Scheduler` (unused —
-        and free — when no scheduler is installed).
+        ``delay`` must be non-negative.  Returns the queued :data:`Event`,
+        which :meth:`cancel` accepts.  ``label`` annotates the event for
+        a :class:`Scheduler` (unused when no scheduler is installed).
         """
-        handle = CancelHandle()
-        self._seq += 1
-        if delay == 0 and self.scheduler is None:
-            self._fifo.append((self.now, self._seq, handle, fn, args, label))
-        elif delay < 0:
+        if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        else:
-            heapq.heappush(self._heap, (self.now + delay, self._seq, handle, fn, args, label))
-        return handle
-
-    def schedule_nocancel(
-        self, delay: int, fn: Callable[..., None], *args: Any, label: str | None = None
-    ) -> None:
-        """:meth:`schedule` without the per-event handle allocation.
-
-        For the ~90% of events nobody ever cancels (deliveries, wakeups,
-        dispatches).  Fires in exactly the position :meth:`schedule`
-        would have used — same seq, same ordering — but returns nothing.
-        """
         self._seq += 1
-        if delay == 0 and self.scheduler is None:
-            self._fifo.append((self.now, self._seq, _NEVER_CANCELLED, fn, args, label))
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        else:
-            heapq.heappush(
-                self._heap, (self.now + delay, self._seq, _NEVER_CANCELLED, fn, args, label)
-            )
+        event = [self.now + delay, self._seq, fn, args, label]
+        heappush(self._heap, event)
+        return event
 
     def schedule_at(
         self, when: int, fn: Callable[..., None], *args: Any, label: str | None = None
-    ) -> CancelHandle:
+    ) -> Event:
         """Schedule ``fn(*args)`` at absolute time ``when`` (>= now)."""
         return self.schedule(when - self.now, fn, *args, label=label)
 
-    def schedule_at_nocancel(
-        self, when: int, fn: Callable[..., None], *args: Any, label: str | None = None
-    ) -> None:
-        """:meth:`schedule_at` without the per-event handle allocation."""
-        self.schedule_nocancel(when - self.now, fn, *args, label=label)
+    def cancel(self, event: Event) -> None:
+        """Stop ``event`` from firing; it stays queued as a tombstone.
+
+        Its args are dropped at once, so a cancelled far-future timer pins
+        nothing.  A no-op for an event that already fired or was cancelled.
+        """
+        event[2] = None
+        event[3] = ()
 
     # ------------------------------------------------------------------
     # deadlock bookkeeping
@@ -229,68 +177,41 @@ class Simulator:
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Run events until the queue drains (or ``until`` / ``max_events``).
 
-        Returns the simulated time at which execution stopped.  Raises
-        :class:`DeadlockError` if the queue drains with blocked tasks, and
-        re-raises the first unhandled task exception.
+        Returns the simulated time at which execution stopped.  ``until``
+        may not lie before :attr:`now` and ``max_events`` must be at least
+        1 (both raise :class:`ValueError`).  Raises :class:`DeadlockError`
+        if the queue drains with blocked tasks, and re-raises the first
+        unhandled task exception.
         """
+        if until is not None and until < self.now:
+            raise ValueError(f"run(until={until}) would move the clock back from {self.now}")
+        if max_events is not None and max_events < 1:
+            raise ValueError(f"max_events must be at least 1, got {max_events}")
         if self.scheduler is not None:
             return self._run_controlled(self.scheduler, until, max_events)
         heap = self._heap
-        fifo = self._fifo
-        heappop = heapq.heappop
-        budget = max_events if max_events is not None else -1
-        while True:
+        budget = -1 if max_events is None else max_events
+        while heap:
             if self._failure is not None:
-                exc, self._failure = self._failure, None
-                raise exc
-            # Skip cancelled tombstones at both queue fronts before peeking.
-            while heap and heap[0][2].cancelled:
+                self._raise_failure()
+            event = heap[0]
+            fn = event[2]
+            if fn is None:
                 heappop(heap)
-            while fifo and fifo[0][2].cancelled:
-                fifo.popleft()
-            # Pick the next live event by (time, seq) across both lanes.
-            # FIFO entries are all at the current tick; a heap entry beats
-            # them only if it is also at the current tick with a lower seq.
-            if fifo:
-                if heap and heap[0][0] == self.now and heap[0][1] < fifo[0][1]:
-                    use_fifo = False
-                    when = heap[0][0]
-                else:
-                    use_fifo = True
-                    when = self.now
-            elif heap:
-                use_fifo = False
-                when = heap[0][0]
-            else:
-                break
+                continue
+            when = event[0]
             if until is not None and when > until:
                 # Stop the clock at `until`; pending events stay queued.
-                # Fold the FIFO lane into the heap: entries carry their
-                # true (time, seq), and `now` is about to move away from
-                # the tick the lane's fast merge assumes.
-                while fifo:
-                    heapq.heappush(heap, fifo.popleft())
                 self.now = until
                 return until
-            if use_fifo:
-                _when, _seq, _handle, fn, args, _label = fifo.popleft()
-                self.now = when
-            else:
-                when, _seq, _handle, fn, args, _label = heappop(heap)
-                self.now = when
+            heappop(heap)
+            self.now = when
             self.events_executed += 1
-            fn(*args)
-            if budget > 0:
-                budget -= 1
-                if budget == 0:
-                    return self.now
-        if self._failure is not None:
-            exc, self._failure = self._failure, None
-            raise exc
-        blocked = [t for t in self._watched if getattr(t, "is_blocked", False)]
-        if blocked and until is None:
-            raise DeadlockError(blocked)
-        return self.now
+            fn(*event[3])
+            budget -= 1
+            if budget == 0:
+                return self.now
+        return self._drained(until)
 
     def _run_controlled(
         self, scheduler: Scheduler, until: int | None, max_events: int | None
@@ -305,54 +226,54 @@ class Simulator:
         chosen event that cancels a sibling prevents it from running).
         """
         heap = self._heap
-        # Events scheduled before the scheduler was installed may sit in
-        # the delay-0 FIFO lane; fold them into the heap (original seqs)
-        # so the explorer sees one uniform queue.  While a scheduler is
-        # installed, `schedule` never adds to the FIFO.
-        fifo = self._fifo
-        while fifo:
-            heapq.heappush(heap, fifo.popleft())
         budget = max_events
         while heap:
             if self._failure is not None:
-                exc, self._failure = self._failure, None
-                raise exc
+                self._raise_failure()
             when = heap[0][0]
             if until is not None and when > until:
                 self.now = until
                 return self.now
             batch = []
             while heap and heap[0][0] == when:
-                entry = heapq.heappop(heap)
-                if not entry[2].cancelled:
-                    batch.append(entry)
+                event = heappop(heap)
+                if event[2] is not None:
+                    batch.append(event)
             if not batch:
                 continue
             if len(batch) == 1:
                 index = 0
             else:
                 index = scheduler.choose(
-                    when, [PendingEvent(e[1], e[5]) for e in batch]
+                    when, [PendingEvent(e[1], e[4]) for e in batch]
                 )
                 if not 0 <= index < len(batch):
                     raise IndexError(
                         f"scheduler chose {index} of {len(batch)} events at t={when}"
                     )
             chosen = batch[index]
-            for pos, entry in enumerate(batch):
+            for pos, event in enumerate(batch):
                 if pos != index:
-                    heapq.heappush(heap, entry)
-            _when, _seq, _handle, fn, args, _label = chosen
+                    heappush(heap, event)
             self.now = when
             self.events_executed += 1
-            fn(*args)
+            chosen[2](*chosen[3])
             if budget is not None:
                 budget -= 1
-                if budget <= 0:
+                if budget == 0:
                     return self.now
+        return self._drained(until)
+
+    def _raise_failure(self) -> NoReturn:
+        """Re-raise the first task failure (see :meth:`report_failure`)."""
+        exc, self._failure = self._failure, None
+        assert exc is not None
+        raise exc
+
+    def _drained(self, until: int | None) -> int:
+        """End of a run whose queue emptied: surface failure or deadlock."""
         if self._failure is not None:
-            exc, self._failure = self._failure, None
-            raise exc
+            self._raise_failure()
         blocked = [t for t in self._watched if getattr(t, "is_blocked", False)]
         if blocked and until is None:
             raise DeadlockError(blocked)
@@ -360,7 +281,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of events still queued (including cancelled tombstones)."""
-        return len(self._heap) + len(self._fifo)
+        return len(self._heap)
 
 
 class CalendarSimulator(Simulator):

@@ -257,11 +257,11 @@ class SimDriver(Driver):
         sim = self.sim
         sim.watch(task)
         if sim.scheduler is not None:
-            sim.schedule_nocancel(0, task.step, None, label=f"task:{task.name}")
+            sim.schedule(0, task.step, None, label=f"task:{task.name}")
         else:
             # Labels are read only by an installed Scheduler; skip the
             # per-event f-string on uncontrolled runs (likewise below).
-            sim.schedule_nocancel(0, task.step, None)
+            sim.schedule(0, task.step, None)
         return task
 
     def handle(self, task: Task, effect: Effect) -> None:
@@ -269,11 +269,9 @@ class SimDriver(Driver):
         if isinstance(effect, (Compute, Sleep)):
             task.state = TaskState.BLOCKED
             if sim.scheduler is not None:
-                sim.schedule_nocancel(
-                    effect.ns, self._resume, task, None, label=f"task:{task.name}"
-                )
+                sim.schedule(effect.ns, self._resume, task, None, label=f"task:{task.name}")
             else:
-                sim.schedule_nocancel(effect.ns, self._resume, task, None)
+                sim.schedule(effect.ns, self._resume, task, None)
         elif isinstance(effect, Suspend):
             task.state = TaskState.BLOCKED
             if effect.register is not None:
@@ -281,9 +279,9 @@ class SimDriver(Driver):
         elif isinstance(effect, YieldCpu):
             task.state = TaskState.READY
             if sim.scheduler is not None:
-                sim.schedule_nocancel(0, self._resume, task, None, label=f"task:{task.name}")
+                sim.schedule(0, self._resume, task, None, label=f"task:{task.name}")
             else:
-                sim.schedule_nocancel(0, self._resume, task, None)
+                sim.schedule(0, self._resume, task, None)
         else:  # pragma: no cover - Effect subclasses are closed
             raise TypeError(f"unknown effect {effect!r}")
 
@@ -293,9 +291,9 @@ class SimDriver(Driver):
         task.state = TaskState.READY
         sim = self.sim
         if sim.scheduler is not None:
-            sim.schedule_nocancel(0, self._resume, task, value, label=f"wake:{task.name}")
+            sim.schedule(0, self._resume, task, value, label=f"wake:{task.name}")
         else:
-            sim.schedule_nocancel(0, self._resume, task, value)
+            sim.schedule(0, self._resume, task, value)
 
     def _resume(self, task: Task, value: Any) -> None:
         if not task.done:

@@ -343,52 +343,6 @@ def test_accepts_obs_gated_span(tmp_path):
     assert lint.lint_paths([str(good)]) == []
 
 
-def test_flags_discarded_schedule_handle(tmp_path):
-    bad = tmp_path / "discard.py"
-    bad.write_text(
-        "class T:\n"
-        "    def transmit(self, msg):\n"
-        "        self.sim.schedule(10, self._deliver, msg)\n"  # handle dropped
-    )
-    findings = lint.lint_paths([str(bad)])
-    assert len(findings) == 1
-    assert "CancelHandle" in findings[0]
-    assert "schedule_nocancel" in findings[0]
-
-
-def test_flags_discarded_schedule_at_handle(tmp_path):
-    bad = tmp_path / "discard_at.py"
-    bad.write_text(
-        "class T:\n"
-        "    def transmit(self, msg):\n"
-        "        self.sim.schedule_at(10, self._deliver, msg)\n"
-    )
-    findings = lint.lint_paths([str(bad)])
-    assert len(findings) == 1
-    assert "schedule_at_nocancel" in findings[0]
-
-
-def test_assigned_schedule_handle_is_fine(tmp_path):
-    ok = tmp_path / "kept.py"
-    ok.write_text(
-        "class T:\n"
-        "    def arm(self, pending):\n"
-        "        pending.timer = self.sim.schedule(10, self._retransmit, pending)\n"
-        "        self.sim.schedule_nocancel(0, self._poke)\n"
-    )
-    assert lint.lint_paths([str(ok)]) == []
-
-
-def test_discarded_handle_suppression_is_honoured(tmp_path):
-    ok = tmp_path / "suppressed.py"
-    ok.write_text(
-        "class T:\n"
-        "    def once(self):\n"
-        "        self.sim.schedule(10, self._fire)  # lint: drops-handle\n"
-    )
-    assert lint.lint_paths([str(ok)]) == []
-
-
 def test_real_obs_instrumented_sources_are_clean():
     assert (
         lint.lint_paths(

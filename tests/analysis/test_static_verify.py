@@ -31,7 +31,6 @@ EXPECTED = {
     "pw_leak.py": {"page-write-balance"},
     "span_leak.py": {"span-balance"},
     "return_in_finally.py": {"return-in-finally"},
-    "discard_handle.py": {"cancel-handle"},
     "server_hold_await.py": {"hold-await-in-server", "waitfor-cycle"},
     "collective_locking.py": {"collective-locking-server", "waitfor-cycle"},
     "double_hold.py": {"multi-lock-wait"},

@@ -2,10 +2,10 @@
 
 ``golden_schedules.json`` holds ``(events_executed, time_ns)`` for
 dotprod/jacobi/tsp under all three manager algorithms, captured on the
-pre-fast-path tree.  The hot-path optimisations (kernel FIFO lane,
-``schedule_nocancel``, the no-fault data-plane fast path, the O(1) LRU)
-must be *bit-for-bit schedule-preserving*: every fixture must keep
-matching exactly.  A mismatch means an optimisation changed event
+pre-fast-path tree.  Every hot-path optimisation (the no-fault
+data-plane fast path, the O(1) LRU) and every simplification of the
+event kernel (one heap, one ``schedule`` call) must be *bit-for-bit
+schedule-preserving*: every fixture must keep matching exactly.  A mismatch means an optimisation changed event
 ordering — a correctness bug even if the app output is right, because
 the oracle, the explorer, and every committed BENCH number depend on
 the schedule.

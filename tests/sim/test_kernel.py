@@ -1,10 +1,13 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import CancelHandle, DeadlockError, Scheduler, Simulator
+from repro.sim.kernel import DeadlockError, Scheduler, Simulator
 
 
 class FirstChoice(Scheduler):
@@ -61,7 +64,7 @@ def test_cancel_handle_suppresses_event():
     sim = Simulator()
     fired = []
     handle = sim.schedule(10, fired.append, "x")
-    handle.cancel()
+    sim.cancel(handle)
     sim.run()
     assert fired == []
 
@@ -142,7 +145,7 @@ def _cancel_race(scheduler):
 
     def a():
         fired.append("a")
-        handles["b"].cancel()
+        sim.cancel(handles["b"])
 
     sim.schedule(5, a)
     handles["b"] = sim.schedule(5, fired.append, "b")
@@ -172,7 +175,7 @@ def test_reordered_cancellation_kills_the_earlier_sibling():
 
     def b():
         fired.append("b")
-        handle_a.cancel()
+        sim.cancel(handle_a)
 
     sim.schedule(5, b)
     sim.run()
@@ -230,13 +233,21 @@ def test_deadlock_error_lists_every_blocked_task(scheduler):
 
 
 # ----------------------------------------------------------------------
-# adversarial coverage: the kernel against a reference with no fast paths
+# adversarial coverage: the kernel against a plain reference
 #
 # The `(when, seq)` total order is the repo's reproducibility invariant —
 # every committed golden schedule assumes it — so this is the cheap,
 # adversarial version of the 42 fixture gates.  The reference keeps one
-# list and pops its minimum, so neither the delay-0 FIFO lane, the
-# nocancel handle sharing nor lazy tombstone skipping can hide in it.
+# list, pops its minimum and marks cancellation with its own flag, so
+# neither the heap nor lazy tombstone skipping can hide in it.
+
+
+class _RefEvent:
+    def __init__(self, when, seq, fn, args):
+        self.key = (when, seq)
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
 
 
 class _ReferenceKernel:
@@ -249,28 +260,29 @@ class _ReferenceKernel:
     def schedule(self, delay, fn, *args):
         assert delay >= 0
         self._seq += 1
-        handle = CancelHandle()
-        self._queue.append((self.now + delay, self._seq, handle, fn, args))
-        return handle
-
-    schedule_nocancel = schedule
+        event = _RefEvent(self.now + delay, self._seq, fn, args)
+        self._queue.append(event)
+        return event
 
     def schedule_at(self, when, fn, *args):
         return self.schedule(when - self.now, fn, *args)
 
+    def cancel(self, event):
+        event.cancelled = True
+
     def run(self, until=None):
         while True:
-            self._queue = [e for e in self._queue if not e[2].cancelled]
+            self._queue = [e for e in self._queue if not e.cancelled]
             if not self._queue:
                 return self.now
-            entry = min(self._queue, key=lambda e: e[:2])
-            if until is not None and entry[0] > until:
+            event = min(self._queue, key=lambda e: e.key)
+            if until is not None and event.key[0] > until:
                 self.now = until
                 return until
-            self._queue.remove(entry)
-            self.now = entry[0]
+            self._queue.remove(event)
+            self.now = event.key[0]
             self.events_executed += 1
-            entry[3](*entry[4])
+            event.fn(*event.args)
 
 
 # Same tick, near future, and the 500 ms retransmit-timeout regime.
@@ -287,11 +299,12 @@ def kernel_programs(draw):
     def op(depth):
         kind = draw(
             st.sampled_from(
-                ["schedule", "schedule", "nocancel", "schedule_at", "cancel"]
+                ["schedule", "schedule", "schedule_at", "cancel", "cancel_twice"]
             )
         )
-        if kind == "cancel":
-            return ("cancel", draw(st.integers(0, 100)))
+        if kind in ("cancel", "cancel_twice"):
+            # Any handle so far: pending, already fired or already cancelled.
+            return (kind, draw(st.integers(0, 100)))
         nested = []
         if depth < 2 and draw(st.booleans()):
             nested = [op(depth + 1) for _ in range(draw(st.integers(1, 3)))]
@@ -313,15 +326,16 @@ def _interpret(sim, top_ops, until):
             apply_op(op)
 
     def apply_op(op):
-        if op[0] == "cancel":
+        if op[0] in ("cancel", "cancel_twice"):
             if handles:
-                handles[op[1] % len(handles)].cancel()
+                handle = handles[op[1] % len(handles)]
+                sim.cancel(handle)
+                if op[0] == "cancel_twice":
+                    sim.cancel(handle)
             return
         kind, delta, tag, nested = op
         if kind == "schedule":
             handles.append(sim.schedule(delta, fire, tag, nested))
-        elif kind == "nocancel":
-            sim.schedule_nocancel(delta, fire, tag, nested)
         else:
             handles.append(sim.schedule_at(sim.now + delta, fire, tag, nested))
 
@@ -348,7 +362,7 @@ def test_kernel_replays_the_reference_order_exactly(program):
     assert sim.pending() == 0
 
 
-def test_delay_zero_lane_yields_to_an_earlier_seq_at_the_same_tick():
+def test_delay_zero_event_yields_to_an_earlier_seq_at_the_same_tick():
     logs = []
     for sim in (Simulator(), _ReferenceKernel()):
         order = []
@@ -374,7 +388,62 @@ def test_far_future_timer_cancel_never_fires():
     sim = Simulator()
     fired = []
     handle = sim.schedule(500_000_000, fired.append, "timeout")
-    sim.schedule(10, handle.cancel)
+    sim.schedule(10, sim.cancel, handle)
     sim.run()
     assert fired == []
     assert sim.now == 10
+
+
+def test_cancelled_event_no_longer_references_its_args():
+    class Payload:
+        pass
+
+    sim = Simulator()
+    payload = Payload()
+    ref = weakref.ref(payload)
+    handle = sim.schedule(500_000_000, lambda p: None, payload)
+    sim.cancel(handle)
+    del payload
+    gc.collect()
+    assert ref() is None
+    assert sim.pending() == 1  # the tombstone stays queued until its tick
+    sim.run()
+    assert sim.pending() == 0 and sim.events_executed == 0
+
+
+def test_run_until_before_now_is_rejected():
+    sim = Simulator()
+    sim.schedule(150, lambda: None)
+    sim.schedule(300, lambda: None)
+    assert sim.run(until=150) == 150
+    with pytest.raises(ValueError, match="until=50"):
+        sim.run(until=50)
+    assert sim.now == 150
+    assert sim.run(until=150) == 150  # staying put is allowed
+    assert sim.run() == 300
+
+
+@pytest.mark.parametrize("scheduler", [None, FirstChoice()], ids=["default", "controlled"])
+@pytest.mark.parametrize("max_events", [0, -1])
+def test_max_events_below_one_is_rejected(scheduler, max_events):
+    sim = Simulator()
+    sim.scheduler = scheduler
+    for _ in range(5):
+        sim.schedule(1, lambda: None)
+    with pytest.raises(ValueError, match="max_events"):
+        sim.run(max_events=max_events)
+    assert sim.events_executed == 0
+
+
+@pytest.mark.parametrize("scheduler", [None, FirstChoice()], ids=["default", "controlled"])
+def test_max_events_runs_exactly_that_many(scheduler):
+    sim = Simulator()
+    sim.scheduler = scheduler
+    for _ in range(5):
+        sim.schedule(1, lambda: None)
+    sim.run(max_events=2)
+    assert sim.events_executed == 2
+    sim.run(max_events=1)
+    assert sim.events_executed == 3
+    sim.run()
+    assert sim.events_executed == 5

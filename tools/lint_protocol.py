@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Protocol-discipline lint — thin CLI shim over the static verifier.
 
-Historically this file implemented six statement-shape rules itself.
+Historically this file implemented its statement-shape rules itself.
 They are now ported onto the CFG-based engine in
 :mod:`repro.analysis.static` (see ``locks.py`` there), which runs them
 *path-sensitively*: the ``try_acquire`` fast path, the ``locked``-flag
@@ -15,8 +15,7 @@ the locked entry) are understood from control flow instead of needing
    (was: "wrapped in try/finally");
 3. no ``return`` inside the ``finally`` of an effect generator;
 4. ``acquire_page_write`` sections release on every path;
-5. a span opened in an effect generator is closed on every path;
-6. ``schedule``/``schedule_at`` results are not silently discarded.
+5. a span opened in an effect generator is closed on every path.
 
 The full verifier (wait-for deadlock-freedom, message exhaustiveness,
 determinism lint) is ``python -m repro.analysis.static``; this shim
@@ -40,7 +39,6 @@ try:
     from repro.analysis.static.locks import (
         LOCK_FREE_SERVERS,
         SUPPRESS_COMMENT,
-        SUPPRESS_HANDLE_COMMENT,
     )
 except ImportError:  # direct execution without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -48,14 +46,12 @@ except ImportError:  # direct execution without PYTHONPATH=src
     from repro.analysis.static.locks import (
         LOCK_FREE_SERVERS,
         SUPPRESS_COMMENT,
-        SUPPRESS_HANDLE_COMMENT,
     )
 
 __all__ = [
     "DEFAULT_PATHS",
     "LOCK_FREE_SERVERS",
     "SUPPRESS_COMMENT",
-    "SUPPRESS_HANDLE_COMMENT",
     "lint_file",
     "lint_paths",
     "main",
