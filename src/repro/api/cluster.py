@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.config import ClusterConfig, ObsConfig
+from repro.config import ClusterConfig
 from repro.machine.disk import Disk
 from repro.machine.memory import PhysicalMemory
 from repro.machine.mmu import AddressLayout
@@ -107,13 +107,9 @@ class Cluster:
         self.sim = Simulator()
         self.trace = trace
         #: Observability bundle (repro.obs): an explicit instance wins,
-        #: else ``config.obs`` decides between a live one and NULL_OBS
-        #: (an :class:`ObsConfig` additionally selects the timeline,
-        #: span sampling, and histogram backend).
+        #: else ``config.obs`` decides between a live one and NULL_OBS.
         if obs is not None:
             self.obs = obs
-        elif isinstance(config.obs, ObsConfig) and config.obs:
-            self.obs = Observability.from_config(config.obs)
         else:
             self.obs = Observability() if config.obs else NULL_OBS
         clock = self.sim.clock()

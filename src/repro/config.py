@@ -31,7 +31,6 @@ __all__ = [
     "SvmConfig",
     "SchedConfig",
     "CheckerConfig",
-    "ObsConfig",
     "ClusterConfig",
 ]
 
@@ -301,39 +300,6 @@ class CheckerConfig:
 
 
 @dataclass(frozen=True)
-class ObsConfig:
-    """Fine-grained control over the observability layer.
-
-    ``ClusterConfig.obs`` accepts either a plain bool (whole-run
-    aggregates only) or one of these.  Truthiness equals
-    :attr:`enabled`, so existing ``if config.obs`` gates keep working.
-    Every option is pure observation: the simulated schedule is
-    bit-for-bit identical whatever is set here.
-    """
-
-    enabled: bool = True
-    #: Width of one timeline window in simulated ns; 0 disables the
-    #: windowed timeline (whole-run aggregates only).  With a timeline,
-    #: instruments, closed-span time, per-link busy-ns, and the
-    #: profiler's attribution all become per-window series, the input
-    #: to ``repro.obs.slo`` evaluation.
-    timeline_window_ns: int = 0
-    #: Head-based span sampling: keep ~1 in N root-span trees, decided
-    #: by a pure hash of the span id (no RNG, no wall clock; identical
-    #: runs keep identical sets).  1 keeps everything.  Dropped spans
-    #: still feed the profiler and timeline, so attribution stays
-    #: complete at any rate.
-    sample_every: int = 1
-    #: Histogram backend for instruments: "exact" keeps every sample,
-    #: "logbucket" keeps O(log range) counters with a bounded relative
-    #: error — the right choice at 64+ nodes.
-    hist_backend: str = "exact"
-
-    def __bool__(self) -> bool:
-        return self.enabled
-
-
-@dataclass(frozen=True)
 class ClusterConfig:
     """Complete description of one simulated cluster."""
 
@@ -352,12 +318,12 @@ class ClusterConfig:
     #: through faults/RPCs/invalidations, latency histograms, and the
     #: simulated-time profiler.  Like the checker it is pure observation
     #: — no effects, no RNG — so enabling it never changes simulated
-    #: times, event counts, or golden schedules.  Pass an
-    #: :class:`ObsConfig` instead of ``True`` to enable the windowed
-    #: timeline, span sampling, or the bounded-memory histogram backend;
-    #: pass an :class:`repro.obs.Observability` to ``Cluster``/``Ivy``
-    #: directly to keep the handle for querying after the run.
-    obs: bool | ObsConfig = False
+    #: times, event counts, or golden schedules.  ``True`` builds a
+    #: private bundle of whole-run aggregates; for the windowed timeline
+    #: or span sampling, or to keep the handle for querying after the
+    #: run, pass an :class:`repro.obs.Observability` to
+    #: ``Cluster``/``Ivy``/``run_app`` directly (it wins over this flag).
+    obs: bool = False
     cpu: CpuConfig = field(default_factory=CpuConfig)
     ring: RingConfig = field(default_factory=RingConfig)
     #: Network-medium selection (``fabric.backend``) and the switched

@@ -136,7 +136,6 @@ def _timeline_bench(nodes: int = 64, window_ms: int = 20, sample_every: int = 64
     obs = Observability(
         timeline_window_ns=window_ms * MILLISECOND,
         sample_every=sample_every,
-        hist_backend="logbucket",
     )
     res = run_app(
         lambda p: ctor(p, **app_args), nodes, config=config, check=True, obs=obs

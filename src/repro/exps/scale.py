@@ -170,7 +170,6 @@ def run_timeline(
                 obs = Observability(
                     timeline_window_ns=int(window_ms * MILLISECOND),
                     sample_every=sample_every,
-                    hist_backend="logbucket",
                 )
                 result = run_app(
                     lambda p: ctor(p, **app_args),

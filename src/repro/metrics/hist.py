@@ -3,20 +3,13 @@
 :class:`Counters` answers "how many"; the experiments' *why* questions
 need distributions — how long fault service took at the tail, how far
 behind the ring a message queued, how wide an invalidation fanned out.
-Two histogram backends share one duck-typed surface:
-
-- :class:`Histogram` records every observation exactly (simulated
-  quantities are cheap integers, so exact percentiles beat bucketing
-  at small scale) and reports nearest-rank percentiles;
-- :class:`LogBucketHistogram` is the bounded-memory alternative for
-  256-node runs: DDSketch-style logarithmic buckets with a guaranteed
-  relative-error bound ``alpha`` on every reported quantile, O(log
-  range) memory no matter how many observations arrive.
+A :class:`Histogram` records every observation exactly (simulated
+quantities are cheap integers) and reports nearest-rank percentiles,
+so every reported quantile is an observed value, as exact as the
+simulated times it summarises.
 
 A :class:`Gauge` tracks the latest value of a sampled level (resident
-frames).  :class:`Metrics` is the per-run registry, merged across nodes
-the same way :meth:`Counters.merge` is; the backend is selectable per
-registry and per instrument via :func:`make_histogram`.
+frames).  :class:`Metrics` is the per-run registry of both.
 
 These instruments are pure observation: observing never schedules
 simulation events, consumes RNG, or yields effects, so enabling them
@@ -25,25 +18,10 @@ cannot change simulated times or event counts.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Union
-
-__all__ = [
-    "Histogram",
-    "LogBucketHistogram",
-    "AnyHistogram",
-    "Gauge",
-    "Metrics",
-    "make_histogram",
-    "HIST_BACKENDS",
-]
+__all__ = ["Histogram", "Gauge", "Metrics"]
 
 #: The percentiles every report prints.
 REPORT_PERCENTILES = (50.0, 95.0, 99.0)
-
-#: Selectable histogram backends (`exact` keeps every sample,
-#: `logbucket` keeps O(log range) counters with bounded relative error).
-HIST_BACKENDS = ("exact", "logbucket")
 
 
 class Histogram:
@@ -107,171 +85,6 @@ class Histogram:
             out[f"p{q:g}"] = self.percentile(q)
         return out
 
-    def values(self) -> list[float]:
-        return list(self._values)
-
-    def merge_from(self, other: "AnyHistogram") -> None:
-        for value in other.values():
-            self.observe(value)
-
-
-class LogBucketHistogram:
-    """Bounded-memory histogram with logarithmic buckets.
-
-    DDSketch-style: value ``v > 0`` lands in bucket ``ceil(log_γ v)``
-    with ``γ = (1 + α) / (1 - α)``, whose representative midpoint
-    ``2·γ^b / (γ + 1)`` is within relative error ``α`` of every value
-    the bucket holds.  Percentiles walk the sorted bucket keys by
-    cumulative count, so any reported quantile is within ``α`` of the
-    exact nearest-rank answer.  Non-positive values share one exact
-    "zero" bucket (simulated durations are never negative; zeros are
-    common and must not be distorted).  Count/sum/min/max stay exact.
-    """
-
-    __slots__ = (
-        "name", "alpha", "_gamma", "_log_gamma", "_buckets", "_zero",
-        "_count", "_total", "_min", "_max",
-    )
-
-    def __init__(self, name: str, alpha: float = 0.01) -> None:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha {alpha} out of (0, 1)")
-        self.name = name
-        self.alpha = alpha
-        self._gamma = (1.0 + alpha) / (1.0 - alpha)
-        self._log_gamma = math.log(self._gamma)
-        self._buckets: dict[int, int] = {}
-        self._zero = 0
-        self._count = 0
-        self._total = 0.0
-        self._min: float | None = None
-        self._max: float | None = None
-
-    def _key(self, value: float) -> int:
-        return math.ceil(math.log(value) / self._log_gamma)
-
-    def _representative(self, key: int) -> float:
-        return 2.0 * self._gamma**key / (self._gamma + 1.0)
-
-    def observe(self, value: float) -> None:
-        if value <= 0.0:
-            self._zero += 1
-        else:
-            key = self._key(value)
-            self._buckets[key] = self._buckets.get(key, 0) + 1
-        self._count += 1
-        self._total += value
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def total(self) -> float:
-        return self._total
-
-    @property
-    def min(self) -> float | None:
-        return self._min
-
-    @property
-    def max(self) -> float | None:
-        return self._max
-
-    def mean(self) -> float | None:
-        return self._total / self._count if self._count else None
-
-    @property
-    def nbuckets(self) -> int:
-        return len(self._buckets) + (1 if self._zero else 0)
-
-    def percentile(self, q: float) -> float | None:
-        """Nearest-rank percentile within relative error ``alpha``."""
-        if not self._count:
-            return None
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile {q} out of [0, 100]")
-        rank = max(1, -(-int(q * self._count) // 100))  # ceil(q*n/100)
-        if rank <= self._zero:
-            return 0.0
-        seen = self._zero
-        for key in sorted(self._buckets):
-            seen += self._buckets[key]
-            if seen >= rank:
-                rep = self._representative(key)
-                # Clamp into the exact observed range: the extreme
-                # buckets' midpoints can overshoot min/max slightly.
-                if self._min is not None:
-                    rep = max(rep, self._min)
-                if self._max is not None:
-                    rep = min(rep, self._max)
-                return rep
-        return self._max  # pragma: no cover - counts always cover rank
-
-    def summary(self) -> dict[str, float | int | None]:
-        out: dict[str, float | int | None] = {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-        for q in REPORT_PERCENTILES:
-            out[f"p{q:g}"] = self.percentile(q)
-        return out
-
-    def values(self) -> list[float]:
-        """Representative samples (bucket midpoints), one per count.
-
-        Lossy by construction — each value is within ``alpha`` of the
-        original — but lets log-bucketed instruments merge into exact
-        ones and feed value-oriented reports.
-        """
-        out: list[float] = [0.0] * self._zero
-        for key in sorted(self._buckets):
-            rep = self._representative(key)
-            if self._min is not None:
-                rep = max(rep, self._min)
-            if self._max is not None:
-                rep = min(rep, self._max)
-            out.extend([rep] * self._buckets[key])
-        return out
-
-    def merge_from(self, other: "AnyHistogram") -> None:
-        if isinstance(other, LogBucketHistogram) and other.alpha == self.alpha:
-            for key, n in other._buckets.items():
-                self._buckets[key] = self._buckets.get(key, 0) + n
-            self._zero += other._zero
-            self._count += other._count
-            self._total += other._total
-            if other._min is not None:
-                self._min = (
-                    other._min if self._min is None else min(self._min, other._min)
-                )
-            if other._max is not None:
-                self._max = (
-                    other._max if self._max is None else max(self._max, other._max)
-                )
-        else:
-            for value in other.values():
-                self.observe(value)
-
-
-#: Either histogram backend; both expose the same reporting surface.
-AnyHistogram = Union[Histogram, LogBucketHistogram]
-
-
-def make_histogram(
-    name: str, backend: str = "exact", alpha: float = 0.01
-) -> AnyHistogram:
-    """Build a histogram of the requested backend."""
-    if backend == "exact":
-        return Histogram(name)
-    if backend == "logbucket":
-        return LogBucketHistogram(name, alpha=alpha)
-    raise ValueError(f"unknown histogram backend {backend!r}; known: {HIST_BACKENDS}")
-
 
 class Gauge:
     """Latest value of a sampled level (plus the observed peak)."""
@@ -291,46 +104,16 @@ class Gauge:
 
 
 class Metrics:
-    """A registry of named instruments (one per node, merged per run).
+    """A registry of named instruments (one per run)."""
 
-    ``default_backend`` picks the histogram implementation for lazily
-    created instruments; :meth:`set_backend` overrides it per name
-    before the first observation (switching an instrument that already
-    holds samples is an error — the exact/bucketed split must be a
-    configuration choice, not a mid-run migration).
-    """
-
-    def __init__(self, default_backend: str = "exact", alpha: float = 0.01) -> None:
-        if default_backend not in HIST_BACKENDS:
-            raise ValueError(
-                f"unknown histogram backend {default_backend!r}; "
-                f"known: {HIST_BACKENDS}"
-            )
-        self.histograms: dict[str, AnyHistogram] = {}
+    def __init__(self) -> None:
+        self.histograms: dict[str, Histogram] = {}
         self.gauges: dict[str, Gauge] = {}
-        self.default_backend = default_backend
-        self.alpha = alpha
-        self._backends: dict[str, str] = {}
 
-    def set_backend(self, name: str, backend: str) -> None:
-        """Pick the backend for instrument ``name`` before its first use."""
-        if backend not in HIST_BACKENDS:
-            raise ValueError(
-                f"unknown histogram backend {backend!r}; known: {HIST_BACKENDS}"
-            )
-        if name in self.histograms:
-            raise ValueError(f"instrument {name!r} already instantiated")
-        self._backends[name] = backend
-
-    def _backend_of(self, name: str) -> str:
-        return self._backends.get(name, self.default_backend)
-
-    def histogram(self, name: str) -> AnyHistogram:
+    def histogram(self, name: str) -> Histogram:
         hist = self.histograms.get(name)
         if hist is None:
-            hist = self.histograms[name] = make_histogram(
-                name, self._backend_of(name), self.alpha
-            )
+            hist = self.histograms[name] = Histogram(name)
         return hist
 
     def observe(self, name: str, value: float) -> None:
@@ -349,36 +132,3 @@ class Metrics:
         for name, g in sorted(self.gauges.items()):
             out[name] = {"value": g.value, "peak": g.peak, "updates": g.updates}
         return out
-
-    @staticmethod
-    def merge(parts: Iterable["Metrics"]) -> "Metrics":
-        """Pool observations across nodes into a cluster-wide view.
-
-        Histograms merge per name, preserving each instrument's backend
-        (log buckets add count-wise when the error bounds match); gauges
-        keep the largest peak (levels on different nodes do not sum
-        meaningfully).
-        """
-        total = Metrics()
-        for part in parts:
-            total.default_backend = part.default_backend
-            total.alpha = part.alpha
-            for name, hist in part.histograms.items():
-                target = total.histograms.get(name)
-                if target is None:
-                    if isinstance(hist, LogBucketHistogram):
-                        target = make_histogram(name, "logbucket", hist.alpha)
-                    else:
-                        target = make_histogram(name, "exact")
-                    total.histograms[name] = target
-                target.merge_from(hist)
-            for name, g in part.gauges.items():
-                tg = total.gauges.get(name)
-                if tg is None:
-                    tg = total.gauges[name] = Gauge(name)
-                if g.value is not None:
-                    tg.value = g.value if tg.value is None else max(tg.value, g.value)
-                if g.peak is not None:
-                    tg.peak = g.peak if tg.peak is None else max(tg.peak, g.peak)
-                tg.updates += g.updates
-        return total

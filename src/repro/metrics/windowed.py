@@ -8,12 +8,11 @@ series of per-window summaries instead of one number.  Three shapes:
 
 - :class:`WindowedCounter` — events per window (faults, messages);
 - :class:`WindowedGauge` — last value and peak per window (backlog);
-- :class:`WindowedHistogram` — one histogram per window (either
-  backend from :mod:`repro.metrics.hist`), for per-window percentiles.
+- :class:`WindowedHistogram` — one exact
+  :class:`repro.metrics.hist.Histogram` per window, for per-window
+  percentiles.
 
-Windows are keyed sparsely by index: a quiet window costs nothing, and
-the memory bound is O(active windows × instruments), independent of the
-observation count when the ``logbucket`` backend is selected.
+Windows are keyed sparsely by index: a quiet window costs nothing.
 
 Like every instrument here, windowing is pure observation: it never
 schedules events, consumes RNG, or reads the wall clock — timestamps
@@ -22,7 +21,7 @@ come exclusively from the bound simulated clock of the caller.
 
 from __future__ import annotations
 
-from repro.metrics.hist import AnyHistogram, make_histogram
+from repro.metrics.hist import Histogram
 
 __all__ = [
     "WindowedCounter",
@@ -70,34 +69,26 @@ class WindowedGauge:
 class WindowedHistogram:
     """One histogram per window, lazily created."""
 
-    __slots__ = ("name", "backend", "alpha", "windows")
+    __slots__ = ("name", "windows")
 
-    def __init__(self, name: str, backend: str = "exact", alpha: float = 0.01) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.backend = backend
-        self.alpha = alpha
-        self.windows: dict[int, AnyHistogram] = {}
+        self.windows: dict[int, Histogram] = {}
 
     def observe(self, window: int, value: float) -> None:
         hist = self.windows.get(window)
         if hist is None:
-            hist = self.windows[window] = make_histogram(
-                self.name, self.backend, self.alpha
-            )
+            hist = self.windows[window] = Histogram(self.name)
         hist.observe(value)
 
 
 class WindowedMetrics:
     """A registry of windowed instruments sharing one window width."""
 
-    def __init__(
-        self, window_ns: int, hist_backend: str = "exact", alpha: float = 0.01
-    ) -> None:
+    def __init__(self, window_ns: int) -> None:
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
         self.window_ns = window_ns
-        self.hist_backend = hist_backend
-        self.alpha = alpha
         self.counters: dict[str, WindowedCounter] = {}
         self.gauges: dict[str, WindowedGauge] = {}
         self.histograms: dict[str, WindowedHistogram] = {}
@@ -123,9 +114,7 @@ class WindowedMetrics:
     def observe(self, name: str, t: int, value: float) -> None:
         h = self.histograms.get(name)
         if h is None:
-            h = self.histograms[name] = WindowedHistogram(
-                name, self.hist_backend, self.alpha
-            )
+            h = self.histograms[name] = WindowedHistogram(name)
         h.observe(self.window_of(t), value)
 
     # ------------------------------------------------------------------
@@ -139,7 +128,7 @@ class WindowedMetrics:
         g = self.gauges.get(name)
         return g.windows.get(window) if g is not None else None
 
-    def hist_window(self, name: str, window: int) -> AnyHistogram | None:
+    def hist_window(self, name: str, window: int) -> Histogram | None:
         h = self.histograms.get(name)
         return h.windows.get(window) if h is not None else None
 

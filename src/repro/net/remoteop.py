@@ -244,8 +244,8 @@ class RemoteOp:
                 yield from self.transport.send_reply(msg, result)
         finally:
             if span is not None:
-                # Accumulation-first close: under head-based sampling
-                # this span may be dropped (negative id), but its
-                # service time must still reach the profiler's network
-                # attribution and the timeline's per-window series.
-                obs.span_account(span)
+                # Under head-based sampling this span may be dropped
+                # (negative id), but span_end still folds its service
+                # time into the profiler's network attribution and the
+                # timeline's per-window series.
+                obs.span_end(span)

@@ -52,7 +52,34 @@ LOCAL_DELIVERY_NS = 20 * MICROSECOND
 
 
 class TransportError(RuntimeError):
-    """A request exhausted its retransmission budget."""
+    """A request could not complete.
+
+    When a request exhausts its retransmission budget the error names
+    what was given up on: the request's ``op``, the ``page`` it concerns
+    (``None`` when the op names no page), its ``origin``, the ``dst`` it
+    was sent to (``BROADCAST`` for broadcasts and multicasts), its
+    ``msg_id`` and the ``retries`` sent.  Only the first hop is known:
+    the origin never learns where a forwarded request went next.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        op: str | None = None,
+        page: int | None = None,
+        origin: int | None = None,
+        dst: int | None = None,
+        msg_id: int | None = None,
+        retries: int = 0,
+    ) -> None:
+        super().__init__(message)
+        self.op = op
+        self.page = page
+        self.origin = origin
+        self.dst = dst
+        self.msg_id = msg_id
+        self.retries = retries
 
 
 class TransportStats:
@@ -366,11 +393,16 @@ class Transport:
         pending.retries += 1
         if pending.retries > self.config.max_retransmits:
             del self._pending[msg_id]
-            error = TransportError(
-                f"request {pending.msg.op} from {self.node_id} to "
-                f"{pending.msg.dst} gave up after {pending.retries - 1} retransmits"
-            )
-            pending.gate.post(error)
+            msg = pending.msg
+            page = op_page(msg.op, msg.payload)
+            retries = pending.retries - 1
+            pending.gate.post(TransportError(
+                f"request {msg.op} for page {'?' if page is None else page} "
+                f"from {msg.origin} to {msg.dst} (msg {msg.msg_id}) "
+                f"gave up after {retries} retransmits",
+                op=msg.op, page=page, origin=msg.origin, dst=msg.dst,
+                msg_id=msg.msg_id, retries=retries,
+            ))
             return
         self.stats.retransmits += 1
         if self.trace:

@@ -21,13 +21,17 @@ observation:
 - deterministic **head-based span sampling** (``sample_every > 1``)
   keeping ~1/N of root-span trees by a pure hash of the span id
   (:mod:`repro.obs.sample`).  Dropped spans still feed the profiler
-  and the timeline at close time via :meth:`Observability.span_end`
-  / :meth:`Observability.span_account`, so attribution stays complete
-  while the recorded span list shrinks ~N-fold.
+  and the timeline at close time via :meth:`Observability.span_end`,
+  so attribution stays complete while the recorded span list shrinks
+  ~N-fold.
 
-Enable it per run (``ClusterConfig(obs=True)`` or
-``ClusterConfig(obs=ObsConfig(...))``, or pass an ``Observability`` to
-:class:`repro.api.ivy.Ivy` / ``run_app`` to keep the handle).  Like
+Histograms are exact (:class:`repro.metrics.hist.Histogram`): every
+reported percentile is an observed simulated value.
+
+Enable the whole-run aggregates with ``ClusterConfig(obs=True)``.  For
+the timeline or sampling, or to keep the handle for querying after the
+run, build an ``Observability(...)`` and pass it to
+:class:`repro.api.ivy.Ivy` / ``run_app``.  Like
 :data:`repro.sim.trace.NULL_TRACE`, the default :data:`NULL_OBS` is a
 disabled instance whose hooks are no-ops, so the hot paths pay one
 truthiness check and nothing else.  Every hook is pure observation — no
@@ -41,15 +45,12 @@ loadable in Perfetto; timeline JSONL; OpenMetrics text) and the CLI in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.metrics.hist import Metrics
 from repro.obs.profiler import CATEGORIES, PRECEDENCE, SimProfiler
 from repro.obs.span import NULL_SPAN, UNSTAMPED, Span, SpanTracer
 from repro.obs.timeline import Timeline
-
-if TYPE_CHECKING:
-    from repro.config import ObsConfig
 
 __all__ = [
     "Observability",
@@ -87,25 +88,15 @@ class Observability:
         *,
         timeline_window_ns: int = 0,
         sample_every: int = 1,
-        hist_backend: str = "exact",
     ) -> None:
         self.enabled = enabled
         self.spans = SpanTracer(enabled=enabled, sample_every=sample_every)
-        self.metrics = Metrics(default_backend=hist_backend)
+        self.metrics = Metrics()
         self.profiler = SimProfiler()
         self.timeline: Timeline | None = (
-            Timeline(timeline_window_ns, hist_backend=hist_backend)
+            Timeline(timeline_window_ns)
             if enabled and timeline_window_ns > 0
             else None
-        )
-
-    @classmethod
-    def from_config(cls, config: "ObsConfig") -> "Observability":
-        return cls(
-            enabled=config.enabled,
-            timeline_window_ns=config.timeline_window_ns,
-            sample_every=config.sample_every,
-            hist_backend=config.hist_backend,
         )
 
     def __bool__(self) -> bool:
@@ -132,21 +123,15 @@ class Observability:
         return self.spans.span_begin(name, parent=parent, node=node, start=start, **attrs)
 
     def span_end(self, span: Span, end: int | None = None) -> None:
+        """Close a span *and* fold its interval into the aggregates.
+
+        Under head-based sampling the span record may be dropped
+        (negative id), but its time still feeds the profiler's
+        attribution and the timeline's per-window series.
+        """
         self.spans.span_end(span, end=end)
         if span.sid != 0:
             self._account(span)
-
-    def span_account(self, span: Span, end: int | None = None) -> None:
-        """Close a span *and* fold its interval into the aggregates.
-
-        The explicit name for sites where the aggregates — not the span
-        record — are the point: under head-based sampling the span
-        itself may be dropped (negative id), but its time still feeds
-        the profiler's attribution and the timeline's per-window series.
-        :meth:`span_end` does the same accounting; this alias exists so
-        accumulation-first call sites read as what they are.
-        """
-        self.span_end(span, end=end)
 
     def _account(self, span: Span) -> None:
         """Fold one just-closed span into profiler/timeline aggregates.

@@ -90,9 +90,7 @@ def _build_app(name: str, nprocs: int) -> Any:
 def _run_observed(args: argparse.Namespace) -> tuple[Any, Observability]:
     from repro.api.ivy import Ivy
 
-    config = ClusterConfig(nodes=args.nodes, obs=True).with_svm(
-        algorithm=args.algorithm
-    )
+    config = ClusterConfig(nodes=args.nodes).with_svm(algorithm=args.algorithm)
     fabric = getattr(args, "fabric", "ring")
     if fabric != "ring":
         config = config.with_fabric(backend=fabric)
@@ -109,7 +107,6 @@ def _run_observed(args: argparse.Namespace) -> tuple[Any, Observability]:
     obs = Observability(
         timeline_window_ns=int(window_ms * MILLISECOND),
         sample_every=getattr(args, "sample_every", 1),
-        hist_backend=getattr(args, "hist_backend", "exact"),
     )
     ivy = Ivy(config, obs=obs)
     app = _build_app(args.app, args.nodes)
@@ -306,10 +303,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sample-every", type=int, default=1,
         help="keep ~1/N of span trees by a pure hash of the span id",
-    )
-    parser.add_argument(
-        "--hist-backend", default="exact", choices=("exact", "logbucket"),
-        help="histogram backend (logbucket = bounded memory)",
     )
 
 

@@ -36,13 +36,11 @@ __all__ = ["Timeline"]
 class Timeline:
     """Windowed counters/gauges/histograms plus link and span series."""
 
-    def __init__(
-        self, window_ns: int, hist_backend: str = "exact", alpha: float = 0.01
-    ) -> None:
+    def __init__(self, window_ns: int) -> None:
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
         self.window_ns = window_ns
-        self.metrics = WindowedMetrics(window_ns, hist_backend, alpha)
+        self.metrics = WindowedMetrics(window_ns)
         #: link name -> window -> busy ns inside that window
         self._links: dict[str, dict[int, int]] = {}
         self._clock: Callable[[], int] | None = None

@@ -8,9 +8,11 @@ piggybacked load hints.
 
 import pytest
 
+from repro.config import ClusterConfig
 from repro.net.remoteop import Forward, Reply
 from repro.net.transport import TransportError
 from repro.sim.process import Compute
+from repro.svm.protocol import OP_READ
 
 from tests.net.conftest import NetRig
 
@@ -218,22 +220,24 @@ def test_retransmission_recovers_from_frame_loss():
 
 
 def test_unreachable_peer_gives_up_with_transport_error():
-    rig = NetRig(nnodes=2, loss_rate=1.0)
-    rig.config = rig.config.replace(max_retransmits=3)
-    # Rebuild with the tightened budget.
-    rig = NetRig(nnodes=2, loss_rate=1.0)
-    for t in rig.transports:
-        t.config = t.config.replace(max_retransmits=3)
-
-    rig.ops[1].register("op", echo_handler)
+    # Every frame is lost, so the request exhausts a 3-retransmit budget;
+    # the error names the op, page, endpoints, message and retry count.
+    rig = NetRig(nnodes=2, config=ClusterConfig(max_retransmits=3), loss_rate=1.0)
+    rig.ops[1].register(OP_READ, echo_handler)
 
     def client():
-        yield from rig.ops[0].request(1, "op", None)
+        yield from rig.ops[0].request(1, OP_READ, 5)
 
-    task = rig.spawn(client())
+    rig.spawn(client())
     with pytest.raises(Exception) as exc_info:
         rig.run()
-    assert isinstance(exc_info.value.__cause__, TransportError)
+    error = exc_info.value.__cause__
+    assert isinstance(error, TransportError)
+    assert (error.op, error.page, error.origin, error.dst, error.retries) == (
+        OP_READ, 5, 0, 1, 3
+    )
+    assert error.msg_id == 1
+    assert "page 5" in str(error) and "after 3 retransmits" in str(error)
 
 
 def test_load_hints_piggyback_on_every_message():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics.report import format_slo_report
 from repro.obs.slo import AGGS, SloSpec, evaluate, parse_slo
 from repro.obs.timeline import Timeline
 
@@ -134,3 +135,27 @@ def test_passing_report_and_summary_shape():
         "p99(lat) < 1ms", "link_utilisation <= 90%"
     ]
     assert all(s["first_violation_window"] is None for s in doc["specs"])
+
+
+# ---------------------------------------------------------------------------
+# rendering (the text the CLI, CI smoke and `scale --timeline` print)
+
+
+@pytest.mark.parametrize(
+    "spec,verdict,first_bad,tail",
+    [
+        ("p99(lat) < 100ns", "VIOLATED", "2",
+         "saturation onset at window 2 (t = 40 ms)"),
+        ("p99(lat) < 1ms", "OK", "-", "no saturation onset"),
+    ],
+    ids=["onset", "clean"],
+)
+def test_format_slo_report_renders_verdict_and_onset(spec, verdict, first_bad, tail):
+    tl = Timeline(20_000_000)  # 20 ms windows
+    tl.observe("lat", 5, t=1_000_000)  # window 0: fast
+    tl.observe("lat", 900, t=45_000_000)  # window 2: slow; window 1 idle
+    text = format_slo_report(evaluate(tl, 60_000_000, [parse_slo(spec)]))
+    title, header, _rule, row = text.splitlines()
+    assert title == f"SLO verdicts (3 windows of 20 ms): {tail}"
+    assert header.split() == ["spec", "verdict", "first", "bad", "window"]
+    assert row.rsplit(maxsplit=2) == [spec, verdict, first_bad]

@@ -100,12 +100,10 @@ def test_observability_does_not_perturb_schedule():
 
 def _full_obs():
     # Every observational feature at once: windowed timeline, per-link
-    # window accounting, head-based sampling, log-bucketed histograms.
+    # window accounting, head-based sampling.
     from repro.obs import Observability
 
-    return Observability(
-        timeline_window_ns=200_000_000, sample_every=4, hist_backend="logbucket"
-    )
+    return Observability(timeline_window_ns=200_000_000, sample_every=4)
 
 
 @pytest.mark.parametrize(

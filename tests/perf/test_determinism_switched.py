@@ -83,9 +83,7 @@ def test_timeline_and_sampling_preserve_switched_schedule(app_name, manager, npr
     # must not move a single tick on any golden fixture.
     from repro.obs import Observability
 
-    obs = Observability(
-        timeline_window_ns=200_000_000, sample_every=4, hist_backend="logbucket"
-    )
+    obs = Observability(timeline_window_ns=200_000_000, sample_every=4)
     got = _run(app_name, manager, nprocs, obs=obs)
     assert got == GOLDEN[f"{app_name}/{manager}/p{nprocs}"]
 
